@@ -16,16 +16,21 @@ Discrete conventions, fixed once for the whole module:
   distribution, and it keeps the spectrogram and Rihaczek identities
   exact for band-limited analytic inputs.
 * Fractional delays use spectral phase ramps with signed frequencies.
+  The polynomial and higher-order distributions take the signal's FFT
+  once and read their delayed copies from batched inverse FFTs: ``pwvd``
+  in blocks of ``_BLOCK`` half-lags, ``howvd`` from one bank holding
+  every delay its lag lattice reads.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractViolation, DomainError, GridError, ResourceError
 from .kernels import VolterraKernel
@@ -58,6 +63,11 @@ __all__ = [
     "if_concentration",
     "interference_term_count",
 ]
+
+
+# Delays per batched shift bank (and STFT rows per block): 64 rows of an
+# L = 1024 signal are 1 MiB of complex samples.
+_BLOCK = 64
 
 
 def _signal(x) -> np.ndarray:
@@ -162,14 +172,21 @@ def chirp(phase: PolynomialPhase, L: int, amplitude: float = 1.0) -> np.ndarray:
     return amplitude * np.exp(1j * phase.phase(t))
 
 
+def _phase_ramps(L: int, delays) -> np.ndarray:
+    """exp(2i pi f d / L) over the signed frequencies f, one row per delay d.
+
+    ``ifft(fft(x) * ramp)`` is x(t + d); the conjugate ramp gives x(t - d).
+    """
+    freqs = np.fft.fftfreq(L) * L
+    return np.exp((2j * np.pi / L) * np.multiply.outer(delays, freqs))
+
+
 def fractional_shift(x, d: float) -> np.ndarray:
     """x(t + d) by a spectral phase ramp; integer d reduces to a roll."""
     x = _signal(x)
-    L = x.size
     if float(d) == int(round(d)):
         return np.roll(x, -int(round(d)))
-    freqs = np.fft.fftfreq(L) * L
-    return np.fft.ifft(np.fft.fft(x) * np.exp(2j * np.pi * freqs * d / L))
+    return np.fft.ifft(np.fft.fft(x) * _phase_ramps(x.size, float(d)))
 
 
 def _half_lags(L: int) -> np.ndarray:
@@ -183,28 +200,28 @@ def _lag_products(x: np.ndarray, boundary: str = "circular") -> np.ndarray:
     ``boundary="circular"`` wraps the indices mod L; ``"finite"`` zeroes any
     product whose reads leave [0, L), treating the record as finite.
     """
-    L = x.size
-    ms = _half_lags(L)
-    n = np.arange(L)[:, None]
-    plus = n + ms[None, :]
-    minus = n - ms[None, :]
-    R = x[plus % L] * np.conj(x[minus % L])
-    if boundary == "finite":
-        inside = (plus >= 0) & (plus < L) & (minus >= 0) & (minus < L)
-        R = np.where(inside, R, 0.0)
-    elif boundary != "circular":
+    if boundary not in ("circular", "finite"):
         raise ContractViolation(f"boundary must be 'circular' or 'finite', got {boundary!r}")
+    M0 = x.size // 4
+    # padded[n + M0 + m] = x(n + m): wrapped, or zero outside a finite record
+    padded = np.pad(x, M0, mode="wrap" if boundary == "circular" else "constant")
+    window = sliding_window_view(padded, 2 * M0 + 1)  # window[n, M0 + m] = x(n + m)
+    R = np.conj(window[:, ::-1])
+    R *= window
     return R
 
 
 def _lag_transform(R: np.ndarray, L: int) -> np.ndarray:
-    """Fold the signed half-lag axis mod L/2 and DFT it: rows of the TFD."""
-    half = L // 2
-    ms = _half_lags(L)
+    """Fold the signed half-lag axis mod L/2 and DFT it: rows of the TFD.
+
+    Half-lags 0..M0 land on bins 0..M0 and -M0..-1 on bins L/2-M0..L/2-1,
+    so the endpoints +-L/4 share bin L/4 only when L = 0 (mod 4).
+    """
+    half, M0 = L // 2, L // 4
     folded = np.zeros((R.shape[0], half), dtype=np.complex128)
-    for i, m in enumerate(ms):
-        folded[:, m % half] += R[:, i]
-    return np.fft.fft(folded, axis=1)
+    folded[:, : M0 + 1] += R[:, M0:]
+    folded[:, half - M0 :] += R[:, :M0]
+    return np.fft.fft(folded, axis=1, out=folded)
 
 
 def _warn_if_not_analytic(x: np.ndarray, where: str):
@@ -303,7 +320,8 @@ def ambiguity(h) -> ParameterFunction:
     h = _signal(h)
     if h.size % 2:
         raise GridError("ambiguity needs an even-length grid")
-    return ParameterFunction(np.fft.fft(_lag_products(h), axis=0), _half_lags(h.size))
+    R = _lag_products(h)
+    return ParameterFunction(np.fft.fft(R, axis=0, out=R), _half_lags(h.size))
 
 
 def spectrogram_parameter(window) -> ParameterFunction:
@@ -319,8 +337,16 @@ def stft(x, window) -> np.ndarray:
     if w.size != x.size:
         raise ContractViolation("window and signal lengths differ")
     L = x.size
-    rows = [np.fft.fft(x * np.conj(np.roll(w, n))) for n in range(L)]
-    return np.asarray(rows)
+    cw = np.conj(w)
+    # frames[L - n] = conj(w(t - n)) over t in [0, L)
+    frames = sliding_window_view(np.concatenate([cw, cw]), L)
+    S = np.empty((L, L), dtype=np.complex128)
+    for n0 in range(0, L, _BLOCK):
+        n1 = min(n0 + _BLOCK, L)
+        rows = S[n0:n1]
+        np.multiply(x, frames[L - n1 + 1 : L - n0 + 1][::-1], out=rows)
+        np.fft.fft(rows, axis=1, out=rows)
+    return S
 
 
 def cohen(x, phi: ParameterFunction) -> TFDGrid:
@@ -336,10 +362,11 @@ def cohen(x, phi: ParameterFunction) -> TFDGrid:
         raise GridError("cohen needs an even-length grid")
     if phi.length != L or not np.array_equal(phi.lags, _half_lags(L)):
         raise ContractViolation("parameter function grid does not match the signal grid")
-    R = _lag_products(x)
-    A = np.fft.fft(R, axis=0)
-    smoothed = np.fft.ifft(phi.values * A, axis=0)
-    return TFDGrid(_lag_transform(smoothed, L), 1.0 / L)
+    A = _lag_products(x)
+    np.fft.fft(A, axis=0, out=A)
+    A *= phi.values
+    np.fft.ifft(A, axis=0, out=A)
+    return TFDGrid(_lag_transform(A, L), 1.0 / L)
 
 
 def cohen_volterra_kernel(phi: ParameterFunction, f_bin: int) -> VolterraKernel:
@@ -371,7 +398,7 @@ def eval_double_bilinear(kernel: VolterraKernel, xa, xb) -> np.ndarray:
     n = np.arange(L)
     U = xa[(n[None, :] - n[:, None]) % L]  # U[u, t] = xa(t - u)
     V = xb[(n[None, :] - n[:, None]) % L]
-    return np.einsum("uv,ut,vt->t", kernel.data, U, V)
+    return np.sum(U * (kernel.data @ V), axis=0)
 
 
 def _conjugation_signs(k: int) -> list[int]:
@@ -387,6 +414,8 @@ def howvd(x, k: int, memory_budget: int = 1 << 24) -> MultiAxisGrid:
 
     Lag lattice: per axis the even lags 2 m_r, |m_r| <= L/4, matching the
     bilinear case; centering alpha = (2/k) sum m_r uses fractional delays.
+    Every read is x(t + 2p/k) for an integer p, so the lattice is gathered
+    from one bank of delayed copies.
     Axis r absorbs the scaling (eps_r - sigma/k) into its transform so
     that a pure tone at bin k0 produces a ridge at bin k0 on every axis;
     k = 2 reduces exactly to the Wigner distribution.
@@ -411,24 +440,18 @@ def howvd(x, k: int, memory_budget: int = 1 << 24) -> MultiAxisGrid:
     sigma = sum(signs)
     factors = tuple(signs[r] - sigma / k for r in range(1, k))
 
-    shift_cache: dict[int, np.ndarray] = {}
-
-    def shifted(q: int) -> np.ndarray:
-        # shift by q / k samples
-        if q not in shift_cache:
-            shift_cache[q] = fractional_shift(x, q / k) if q % k else np.roll(x, -(q // k))
-        return shift_cache[q]
-
-    prod = np.empty((ms.size,) * (k - 1) + (L,), dtype=np.complex128)
-    for multi in itertools.product(range(ms.size), repeat=k - 1):
-        mvec = ms[list(multi)]
-        total = int(mvec.sum())
-        # alpha = (2/k) * sum(m); shifts in units of 1/k samples
-        term = np.conj(shifted(-2 * total))
-        for r in range(1, k):
-            arr = shifted(2 * k * int(mvec[r - 1]) - 2 * total)
-            term = term * (np.conj(arr) if signs[r] < 0 else arr)
-        prod[multi] = term
+    # Reads are x(t - alpha) and x(t + 2 m_r - alpha) with alpha = 2 total / k,
+    # i.e. x(t + 2p/k) for p = -total and p = k m_r - total; both stay within
+    # |p| <= (2k - 3) L/4.  bank[P + p] = x(t + 2p/k).
+    P = (2 * k - 3) * (L // 4)
+    p = np.arange(-P, P + 1)
+    bank = np.fft.ifft(np.fft.fft(x) * _phase_ramps(L, 2 * p / k), axis=1)
+    conj_bank = np.conj(bank)
+    lattice = np.meshgrid(*([ms] * (k - 1)), indexing="ij")
+    total = sum(lattice)
+    prod = conj_bank[P - total]
+    for r in range(1, k):
+        prod *= (conj_bank if signs[r] < 0 else bank)[P + k * lattice[r - 1] - total]
     # transform each lag axis with its declared scaling
     out = prod
     for r in range(k - 1):
@@ -457,6 +480,8 @@ class LambdaSet:
         lam = tuple(float(v) for v in self.lambdas)
         if len(lam) != self.k // 2:
             raise ContractViolation(f"need k/2 = {self.k // 2} lambdas, got {len(lam)}")
+        if not all(math.isfinite(v) for v in lam):
+            raise DomainError(f"lambdas must be finite, got {lam}")
         object.__setattr__(self, "lambdas", lam)
 
     def full(self) -> tuple[float, ...]:
@@ -478,6 +503,8 @@ def pwvd_lambdas(k: int, lambda3: float | None = None, branch: int = 1) -> Lambd
     if lambda3 is None:
         raise ContractViolation("k = 6 needs lambda3")
     lam3 = float(lambda3)
+    if not math.isfinite(lam3):
+        raise DomainError(f"lambda3 must be finite, got {lam3}")
     if lam3 < 0.5:
         raise DomainError(f"lambda3 = {lam3} < 1/2 gives complex roots")
     if lam3 == 0.5:
@@ -499,12 +526,10 @@ class LambdaReport:
     one_sided_odd_sums: dict
 
     def passed(self, tol: float = 1e-12) -> bool:
-        worst = max(
-            [self.antisymmetry_residual, self.half_sum_residual]
-            + list(self.paired_odd_residuals.values()),
-            default=0.0,
-        )
-        return worst <= tol
+        """Every residual within tol; a NaN residual fails."""
+        residuals = [self.antisymmetry_residual, self.half_sum_residual]
+        residuals += self.paired_odd_residuals.values()
+        return all(r <= tol for r in residuals)
 
 
 def check_lambda_constraints(ls: LambdaSet, p: int) -> LambdaReport:
@@ -531,13 +556,34 @@ def check_lambda_constraints(ls: LambdaSet, p: int) -> LambdaReport:
     )
 
 
-def _pwvd_lag_product(x: np.ndarray, ls: LambdaSet, tau: int) -> np.ndarray:
-    """prod_l x(t + lambda_l tau) conj(x(t - lambda_l tau)) with fractional shifts."""
-    term = np.ones(x.size, dtype=np.complex128)
-    for lam in ls.lambdas:
-        term = term * fractional_shift(x, lam * tau)
-        term = term * np.conj(fractional_shift(x, -lam * tau))
-    return term
+def _pwvd_lag_products(x: np.ndarray, ls: LambdaSet, radius: int) -> np.ndarray:
+    """R[n, i] = prod_l x(n + lambda_l 2m_i) conj(x(n - lambda_l 2m_i)), |m_i| <= radius.
+
+    Half-lags m >= 0 go in blocks of ``_BLOCK``: per distinct lambda, one
+    batched ifft per sign reads x(n +- lambda 2m) for the whole block, and a
+    repeated lambda is raised to its multiplicity.  The m < 0 half is
+    R(-m) = conj R(m), which the antisymmetric lambda convention guarantees.
+    Lags beyond ``radius`` stay zero.
+    """
+    L = x.size
+    M0 = L // 4
+    X = np.fft.fft(x)
+    RT = np.zeros((2 * M0 + 1, L), dtype=np.complex128)  # (lag, time)
+    pos = RT[M0 : M0 + radius + 1]  # half-lags 0 .. radius
+    pos[:] = 1.0
+    for lam, mult in Counter(ls.lambdas).items():
+        # the ramp of delay lambda 2(m0 + j) is that of lambda 2 m0 times that of lambda 2j
+        steps = _phase_ramps(L, lam * 2 * np.arange(min(_BLOCK, radius + 1)))
+        for m0 in range(0, radius + 1, _BLOCK):
+            block = pos[m0 : m0 + _BLOCK]
+            ramps = steps[: block.shape[0]] * _phase_ramps(L, lam * 2 * m0)
+            plus = np.fft.ifft(X * ramps, axis=1)
+            np.conj(ramps, out=ramps)
+            ramps *= X
+            plus *= np.conj(np.fft.ifft(ramps, axis=1))
+            block *= plus if mult == 1 else plus**mult
+    RT[M0 - radius : M0] = np.conj(pos[:0:-1])
+    return RT.T
 
 
 def pwvd(x, ls: LambdaSet, smoothing=None, max_half_lag: int | None = None) -> TFDGrid:
@@ -546,14 +592,16 @@ def pwvd(x, ls: LambdaSet, smoothing=None, max_half_lag: int | None = None) -> T
     Sums the scaled-lag products over the even lag lattice tau = 2m,
     |m| <= max_half_lag (default L/4), then applies the same lag transform
     as the bilinear case, so a pure tone lands on its own bin (guaranteed
-    by the half-sum constraint).  lambda * tau shifts take the integer
-    fast path whenever they are integral (all of them for k = 4 when tau
-    is a multiple of 4).  Orders with scalings above 1/2 read the signal
+    by the half-sum constraint).  The fractional reads x(t +- lambda tau)
+    come from one FFT of x and, per block of ``_BLOCK`` half-lags m >= 0
+    and distinct lambda, one batched inverse FFT per sign; the m < 0 half
+    follows from R(-m) = conj R(m), and lags with |m| > max_half_lag are
+    never computed.  Orders with scalings above 1/2 read the signal
     beyond +-tau/2; shrinking ``max_half_lag`` keeps those reads from
     wrapping around the circle at the cost of frequency resolution.
-    ``smoothing``, if given, maps the (time, lag) product array to a
-    filtered one before the transform: the pass-through hook for
-    higher-order smoothing kernels.
+    ``smoothing``, if given, maps the (time, lag) product array of shape
+    (L, 2 floor(L/4) + 1) to a filtered one before the transform: the
+    pass-through hook for higher-order smoothing kernels.
     """
     x = _signal(x)
     L = x.size
@@ -563,14 +611,10 @@ def pwvd(x, ls: LambdaSet, smoothing=None, max_half_lag: int | None = None) -> T
     radius = L // 4 if max_half_lag is None else int(max_half_lag)
     if not 0 < radius <= L // 4:
         raise ContractViolation(f"max_half_lag must be in [1, L/4], got {radius}")
-    ms = _half_lags(L)
-    R = np.zeros((L, ms.size), dtype=np.complex128)
-    for i, m in enumerate(ms):
-        if abs(int(m)) <= radius:
-            R[:, i] = _pwvd_lag_product(x, ls, 2 * int(m))
+    R = _pwvd_lag_products(x, ls, radius)
     if smoothing is not None:
         R = np.asarray(smoothing(R), dtype=np.complex128)
-        if R.shape != (L, ms.size):
+        if R.shape != (L, _half_lags(L).size):
             raise ContractViolation("smoothing hook must preserve the (time, lag) shape")
     return TFDGrid(_lag_transform(R, L), 1.0 / L)
 
@@ -618,9 +662,10 @@ class PwvdKernelDescriptor:
     def contract(self, z) -> np.ndarray:
         """Contract against shifted-signal products: one row of the distribution.
 
-        Enumerates the support ray over the even lag lattice, weights by
-        the Fourier factor, and sums.  An inconsistent half-sum empties
-        the constraint slice and returns zeros.
+        The support ray over the even lag lattice is the lag-product matrix
+        of ``pwvd``; it is weighted by the Fourier factor exp(-2i pi f 2m / L)
+        and summed.  An inconsistent half-sum empties the constraint slice
+        and returns zeros.
         """
         z = _signal(z)
         L = z.size
@@ -628,19 +673,8 @@ class PwvdKernelDescriptor:
             raise GridError("contract needs an even-length grid")
         if abs(sum(self.lambdas.lambdas) - 0.5) > 1e-9:
             return np.zeros(L, dtype=np.complex128)
-        ms = _half_lags(L)
-        out = np.zeros(L, dtype=np.complex128)
-        half = self.k // 2
-        direction = self.direction()
-        for m in ms:
-            s = 2 * int(m)
-            point = [d * s for d in direction]
-            term = np.ones(L, dtype=np.complex128)
-            for idx in range(half):
-                term = term * fractional_shift(z, point[idx])
-                term = term * np.conj(fractional_shift(z, point[half + idx]))
-            out += term * np.exp(-2j * np.pi * self.f_bin * s / L)
-        return out
+        weights = np.exp(-2j * np.pi * self.f_bin * 2 * _half_lags(L) / L)
+        return _pwvd_lag_products(z, self.lambdas, L // 4) @ weights
 
 
 def pwvd_volterra_kernel(k: int, ls: LambdaSet, f_bin: int) -> PwvdKernelDescriptor:

@@ -190,6 +190,14 @@ def test_cli_lambdas_domain_error(capsys):
     assert payload["passed"] is True
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_lambdas_non_finite_is_error(value, capsys):
+    assert main(["lambdas", "--k", "6", "--lambda3", value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_cli_info_reports_symmetry(tmp_path, rng, capsys):
     from volterra.kernels import symmetrize_plain
 

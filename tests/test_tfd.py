@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from conftest import max_abs, rel_err
 from volterra.errors import ContractViolation, DomainError, GridError, ResourceError
 from volterra.tfd import (
+    LambdaReport,
     LambdaSet,
+    ParameterFunction,
     PolynomialPhase,
     ambiguity,
     analytic_signal,
@@ -339,6 +342,24 @@ def test_lambda_constraint_detects_perturbation():
     assert not report.passed(1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lambda_set_rejects_non_finite(bad):
+    with pytest.raises(DomainError):
+        LambdaSet(4, (bad, 0.5))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pwvd_lambdas_rejects_non_finite(bad):
+    with pytest.raises(DomainError):
+        pwvd_lambdas(6, bad)
+
+
+def test_lambda_report_nan_residual_fails():
+    assert not LambdaReport(0.0, np.nan, {3: 0.0}, {}).passed()
+    assert not LambdaReport(0.0, 0.0, {3: 0.0, 5: np.nan}, {}).passed()
+    assert LambdaReport(0.0, 0.0, {3: 0.0}, {}).passed()
+
+
 # ---------------------------------------------------------------- pwvd
 
 
@@ -484,3 +505,125 @@ def test_if_concentration_wvd_linear_chirp_within_one_bin():
 def test_interference_term_count():
     for k in range(2, 9):
         assert interference_term_count(k) == 2**k - 2
+
+
+# ------------------------------- grids vs their definitions, L = 0 and 2 mod 4
+
+DEF_LENGTHS = [64, 62]
+
+
+def trig_interp(x, points):
+    """x at real positions by direct trigonometric interpolation (signed frequencies)."""
+    n = x.size
+    freqs = np.fft.fftfreq(n) * n
+    points = np.asarray(points, dtype=float)
+    basis = np.exp(2j * np.pi * np.multiply.outer(points, freqs) / n)
+    return basis @ np.fft.fft(x) / n
+
+
+def lag_dft(n):
+    """E[i, k] = exp(-2i pi (2 m_i) k / n) over half-lags |m_i| <= n/4, k < n/2."""
+    ms = np.arange(-(n // 4), n // 4 + 1)
+    return np.exp(-2j * np.pi * np.outer(2 * ms, np.arange(n // 2)) / n)
+
+
+def direct_lag_products(x, boundary="circular"):
+    n = x.size
+    R = np.zeros((n, 2 * (n // 4) + 1), dtype=complex)
+    for t in range(n):
+        for i, m in enumerate(range(-(n // 4), n // 4 + 1)):
+            a, b = t + m, t - m
+            if boundary == "finite" and not (0 <= a < n and 0 <= b < n):
+                continue
+            R[t, i] = x[a % n] * np.conj(x[b % n])
+    return R
+
+
+@pytest.mark.parametrize("Ld", DEF_LENGTHS)
+@pytest.mark.parametrize("boundary", ["circular", "finite"])
+def test_wvd_matches_definition(Ld, boundary, rng):
+    x = rng.standard_normal(Ld) + 1j * rng.standard_normal(Ld)
+    want = direct_lag_products(x, boundary) @ lag_dft(Ld)
+    assert rel_err(quiet(wvd, x, boundary=boundary).values, want) <= 1e-9
+
+
+@pytest.mark.parametrize("Ld", DEF_LENGTHS)
+def test_cohen_matches_definition(Ld, rng):
+    x = rng.standard_normal(Ld) + 1j * rng.standard_normal(Ld)
+    ms = np.arange(-(Ld // 4), Ld // 4 + 1)
+    phi = ParameterFunction(
+        rng.standard_normal((Ld, ms.size)) + 1j * rng.standard_normal((Ld, ms.size)), ms
+    )
+    F = np.exp(-2j * np.pi * np.outer(np.arange(Ld), np.arange(Ld)) / Ld)
+    A = F @ direct_lag_products(x)  # A[xi, m] = sum_n R[n, m] exp(-2i pi xi n / L)
+    smoothed = np.conj(F) @ (phi.values * A) / Ld
+    assert rel_err(quiet(cohen, x, phi).values, smoothed @ lag_dft(Ld)) <= 1e-9
+
+
+@pytest.mark.parametrize("Ld", DEF_LENGTHS)
+def test_stft_rows_match_direct_dft(Ld, rng):
+    x = rng.standard_normal(Ld) + 1j * rng.standard_normal(Ld)
+    w = rng.standard_normal(Ld) + 1j * rng.standard_normal(Ld)
+    t = np.arange(Ld)
+    F = np.exp(-2j * np.pi * np.outer(t, t) / Ld)
+    want = np.array([F @ (x * np.conj(w[(t - n) % Ld])) for n in range(Ld)])
+    assert rel_err(stft(x, w), want) <= 1e-9
+
+
+@pytest.mark.parametrize("Ld", DEF_LENGTHS)
+@pytest.mark.parametrize(
+    "ls, max_half_lag",
+    [(pwvd_lambdas(4), None), (pwvd_lambdas(6, 0.62), None), (pwvd_lambdas(6, 0.7), 9)],
+    ids=["k4", "k6", "k6-short"],
+)
+def test_pwvd_matches_definition(Ld, ls, max_half_lag, rng):
+    x = rng.standard_normal(Ld) + 1j * rng.standard_normal(Ld)
+    radius = Ld // 4 if max_half_lag is None else max_half_lag
+    ms = np.arange(-(Ld // 4), Ld // 4 + 1)
+    times = np.arange(Ld)[:, None]
+    R = np.ones((Ld, ms.size), dtype=complex)
+    for lam in ls.lambdas:
+        R *= trig_interp(x, times + lam * 2 * ms) * np.conj(trig_interp(x, times - lam * 2 * ms))
+    R[:, np.abs(ms) > radius] = 0.0
+    got = quiet(pwvd, x, ls, max_half_lag=max_half_lag).values
+    assert rel_err(got, R @ lag_dft(Ld)) <= 1e-9
+
+
+@pytest.mark.parametrize("Ld", [32, 30])
+def test_howvd_order3_row_matches_definition(Ld, rng):
+    x = rng.standard_normal(Ld) + 1j * rng.standard_normal(Ld)
+    n, k = 7, 3
+    ms = np.arange(-(Ld // 4), Ld // 4 + 1)
+    m1, m2 = np.meshgrid(ms, ms, indexing="ij")
+    alpha = 2.0 * (m1 + m2) / k
+    # conj(x(n - alpha)) x(n + 2 m_1 - alpha) conj(x(n + 2 m_2 - alpha))
+    prod = (
+        np.conj(trig_interp(x, n - alpha))
+        * trig_interp(x, n + 2 * m1 - alpha)
+        * np.conj(trig_interp(x, n + 2 * m2 - alpha))
+    )
+    g = np.arange(Ld // 2)
+    sigma = -1
+    E1 = np.exp(-2j * np.pi * (1 - sigma / k) * np.outer(2 * ms, g) / Ld)
+    E2 = np.exp(-2j * np.pi * (-1 - sigma / k) * np.outer(2 * ms, g) / Ld)
+    want = E1.T @ prod @ E2
+    assert rel_err(quiet(howvd, x, 3).values[n], want) <= 1e-9
+
+
+def traced_peak_mib(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_peak_memory_at_1024():
+    Lm = 1024
+    x = analytic_signal(np.cos(2 * np.pi * 0.09 * np.arange(Lm)))
+    h = gaussian_window(Lm, 24.0)
+    # one (L, L) output plus at most 5 %
+    assert traced_peak_mib(stft, x, h) <= 16.3 * 1.05
+    # the (L, L/2 + 1) lag products, the folded grid and block temporaries
+    assert traced_peak_mib(quiet, pwvd, x, pwvd_lambdas(6, 0.62)) <= 24.1 * 1.05
