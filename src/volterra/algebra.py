@@ -11,6 +11,7 @@ callers fold constants into the outer series first.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from collections import Counter
@@ -150,6 +151,24 @@ def s_matrix(j: int, k: int, p: WeakComposition) -> SMatrix:
     return SMatrix(j, k, p, entries)
 
 
+@functools.lru_cache(maxsize=256)
+def _composition_terms(j: int, outer_orders: tuple, inner_orders: tuple) -> tuple:
+    """(k, parts, read-only S_p entries) for every term of composite order j.
+
+    One entry per composition p of j into k parts with k an outer order and
+    every part an inner order, in the order ``compose_series`` sums them.
+    """
+    terms = []
+    for k in outer_orders:
+        for comp in compositions(j, k):
+            if any(part not in inner_orders for part in comp.parts):
+                continue
+            entries = s_matrix(j, k, WeakComposition(comp.parts)).entries
+            entries.setflags(write=False)
+            terms.append((k, comp.parts, entries))
+    return tuple(terms)
+
+
 def compose_series(
     B: VolterraSeries, A: VolterraSeries, max_order: int | None = DEFAULT_MAX_ORDER
 ) -> VolterraSeries:
@@ -164,6 +183,13 @@ def compose_series(
     term, which is required).  Kernels are assembled in the frequency
     domain, inverse transformed, and symmetrized as the canonical form.
     Orders above ``max_order`` are dropped with a TruncationWarning.
+
+    The data-independent tables are cached, bounded and read-only: the
+    list of (k, p, S_p) terms per composite order, keyed by ``(j, orders
+    of B, orders of A)`` (256 entries); the flat gather index of each S_p,
+    keyed by its int64 bytes, shape and L' (``morphisms``, 128 entries);
+    and the orbit table that symmetrizes each order-j result, keyed by
+    ``(j, L')`` (``kernels``, 64 entries).
     """
     if A.constant != 0:
         raise ContractViolation(
@@ -186,16 +212,16 @@ def compose_series(
         kernels[0] = constant_kernel(Bc.constant)
     for j in range(1, min(full, cap) + 1):
         acc = None
-        for k in sorted(b_frf):
-            for comp in compositions(j, k):
-                if any(part not in a_frf for part in comp.parts):
-                    continue
-                gathered = pullback_gather(b_frf[k], s_matrix(j, k, WeakComposition(comp.parts)).entries, Lp)
-                outer = a_frf[comp.parts[0]]
-                for part in comp.parts[1:]:
-                    outer = np.multiply.outer(outer, a_frf[part])
-                term = gathered * outer
-                acc = term if acc is None else acc + term
+        for k, parts, entries in _composition_terms(j, tuple(sorted(b_frf)), tuple(sorted(a_frf))):
+            term = pullback_gather(b_frf[k], entries, Lp)
+            outer = a_frf[parts[0]]
+            for part in parts[1:]:
+                outer = np.multiply.outer(outer, a_frf[part])
+            term *= outer
+            if acc is None:
+                acc = term
+            else:
+                acc += term
         if acc is None:
             continue
         kernels[j] = symmetrize_plain(VolterraKernel(j, Lp, np.fft.ifftn(acc)))
@@ -205,13 +231,9 @@ def compose_series(
     return VolterraSeries(kernels)
 
 
-def composition_labels(j: int, n_C: int, n_B: int, n_A: int, association: str) -> Counter:
-    """Multiset of (outer order, inner-order tuple, innermost-order tuple) labels.
-
-    Enumerates the contribution terms of the two ternary association orders
-    the way each one structures them; the theorem says the two multisets
-    coincide for every composite order j.
-    """
+@functools.lru_cache(maxsize=256)
+def _label_table(j: int, n_C: int, n_B: int, n_A: int, association: str) -> tuple:
+    """The label multiset of ``composition_labels`` as (label, count) pairs."""
     out: Counter = Counter()
     if association == "right":  # C after (B after A)
         for k in range(1, n_C + 1):
@@ -245,7 +267,18 @@ def composition_labels(j: int, n_C: int, n_B: int, n_A: int, association: str) -
                         out[(k, p.parts, q.parts)] += 1
     else:
         raise ContractViolation(f"association must be 'left' or 'right', got {association!r}")
-    return out
+    return tuple(out.items())
+
+
+def composition_labels(j: int, n_C: int, n_B: int, n_A: int, association: str) -> Counter:
+    """Multiset of (outer order, inner-order tuple, innermost-order tuple) labels.
+
+    Enumerates the contribution terms of the two ternary association orders
+    the way each one structures them; the theorem says the two multisets
+    coincide for every composite order j.  The multiset is built once per
+    argument tuple (cached, 256 entries); each call returns a fresh Counter.
+    """
+    return Counter(dict(_label_table(j, n_C, n_B, n_A, association)))
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ scaling normalized to the maximum.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -96,9 +97,26 @@ def _pairs(array: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in flat]
 
 
-def _from_pairs(pairs, shape) -> np.ndarray:
-    data = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+def _from_pairs(path, pairs: list, shape) -> np.ndarray:
+    if len(pairs) != math.prod(shape):
+        raise ContractViolation(
+            f"{path}: data holds {len(pairs)} values, shape {shape} needs {math.prod(shape)}"
+        )
+    try:
+        data = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
+    except (TypeError, ValueError):
+        raise ContractViolation(f"{path}: data entries must be [re, im] number pairs") from None
     return data.reshape(shape)
+
+
+def _field(path, record, key, kind):
+    """record[key], which must be present and an instance of ``kind``."""
+    if not isinstance(record, dict) or key not in record:
+        raise ContractViolation(f"{path}: missing field {key!r}")
+    value = record[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ContractViolation(f"{path}: field {key!r} has the wrong type {type(value).__name__}")
+    return value
 
 
 def _check_index(index):
@@ -143,13 +161,14 @@ def load_series(path) -> VolterraSeries:
     manifest = _load_manifest(path)
     if manifest.get("version") != 1:
         raise ContractViolation(f"{path}: unsupported series manifest version")
-    M = int(manifest["memory"])
+    M = _field(path, manifest, "memory", int)
     kernels = {}
-    for entry in manifest["kernels"]:
-        order = int(entry["order"])
-        shape = (M,) * order if order else ()
-        kernels[entry["index"]] = VolterraKernel(
-            order, M if order else 1, _from_pairs(entry["data"], shape)
+    for entry in _field(path, manifest, "kernels", list):
+        order = _field(path, entry, "order", int)
+        index = _field(path, entry, "index", (int, str))
+        shape = (M,) * order if order > 0 else ()
+        kernels[index] = VolterraKernel(
+            order, M if order else 1, _from_pairs(path, _field(path, entry, "data", list), shape)
         )
     return VolterraSeries(kernels)
 
@@ -176,12 +195,17 @@ def load_morphism(path) -> Morphism:
     manifest = _load_manifest(path)
     if manifest.get("version") != 1:
         raise ContractViolation(f"{path}: unsupported morphism manifest version")
-    L = manifest["length"]
+    L = _field(path, manifest, "length", (int, type(None)))
     index_map, matrices, masks = {}, {}, {}
-    for comp in manifest["components"]:
-        i = comp["source"]
-        index_map[i] = comp["target"]
-        matrices[i] = np.asarray(comp["matrix"], dtype=np.int64)
-        order = int(comp["mask_order"])
-        masks[i] = _from_pairs(comp["mask"], (L,) * order)
+    for comp in _field(path, manifest, "components", list):
+        i = _field(path, comp, "source", (int, str))
+        index_map[i] = _field(path, comp, "target", (int, str))
+        try:
+            matrices[i] = np.asarray(_field(path, comp, "matrix", list), dtype=np.int64)
+        except (TypeError, ValueError):
+            raise ContractViolation(f"{path}: matrix at {i!r} is not an integer matrix") from None
+        order = _field(path, comp, "mask_order", int)
+        if order > 0 and (L is None or L < 1):
+            raise ContractViolation(f"{path}: an order-{order} mask needs a length >= 1, got {L}")
+        masks[i] = _from_pairs(path, _field(path, comp, "mask", list), (L,) * order)
     return Morphism(index_map, matrices, masks)

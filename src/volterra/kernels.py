@@ -11,10 +11,29 @@ Conventions used everywhere in the package:
 
 Kernels are stored dense; the practical caps are order <= 4 and memory
 M <= 16 unless a caller knows better.
+
+Cached tables.  Series composition needs several integer tables that
+depend only on shapes, never on kernel data.  Each is built once, kept in a
+``functools.lru_cache`` bounded by entry count, and is read-only (arrays
+have ``setflags(write=False)``, the rest are tuples):
+
+* here, the orbit table of the {0..M-1}^j delay lattice, keyed by
+  ``(order, memory)``, at most 64 shapes; both symmetrizers read it;
+* in ``morphisms``, the flat gather index of a pullback, keyed by the
+  integer matrix's int64 bytes, its shape and the grid length L, at most
+  128 entries;
+* in ``algebra``, the block-sum matrices of every composition of a
+  composite order, keyed by ``(j, outer orders, inner orders)``, and the
+  association label multisets, keyed by ``(j, n_C, n_B, n_A,
+  association)``, at most 256 entries each.
+
+An orbit table holds 8 M^j bytes and a gather index 8 L^j, half of one
+complex kernel of that shape each.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -142,15 +161,35 @@ def zero_pad(kernel: VolterraKernel, memory: int) -> VolterraKernel:
     return VolterraKernel(kernel.order, memory, data)
 
 
+@functools.lru_cache(maxsize=64)
 def _orbit_buckets(order: int, memory: int):
-    """Bucket id (index of the sorted delay multiset) and orbit size per point."""
-    grid = np.indices((memory,) * order).reshape(order, -1).T
-    canon = np.sort(grid, axis=1)
-    flat = np.ravel_multi_index(canon.T, (memory,) * order)
-    # relabel sorted-tuple ids compactly
-    uniq, bucket = np.unique(flat, return_inverse=True)
+    """Orbit table of {0..memory-1}^order, read-only and cached by shape.
+
+    Returns the bucket id of every lattice point (the rank of its sorted
+    delay multiset among all such multisets) and the size of every bucket.
+    """
+    taus = list(np.indices((memory,) * order, dtype=np.min_scalar_type(memory)).reshape(order, -1))
+    # odd-even transposition network: sorts each point's delays in place
+    for step in range(order):
+        for a in range(step % 2, order - 1, 2):
+            lo, hi = np.minimum(taus[a], taus[a + 1]), np.maximum(taus[a], taus[a + 1])
+            taus[a], taus[a + 1] = lo, hi
+    canon = np.ravel_multi_index(taus, (memory,) * order)
+    present = np.zeros(memory**order, dtype=bool)
+    present[canon] = True
+    bucket = (np.cumsum(present) - 1)[canon]
     counts = np.bincount(bucket)
+    bucket.setflags(write=False)
+    counts.setflags(write=False)
     return bucket, counts
+
+
+def _orbit_sums(kernel: VolterraKernel):
+    """(bucket per point, orbit sizes, kernel sum over each orbit)."""
+    bucket, counts = _orbit_buckets(kernel.order, kernel.memory)
+    flat = kernel.data.ravel()
+    sums = np.bincount(bucket, weights=flat.real) + 1j * np.bincount(bucket, weights=flat.imag)
+    return bucket, counts, sums
 
 
 def symmetrize_plain(kernel: VolterraKernel) -> VolterraKernel:
@@ -163,11 +202,8 @@ def symmetrize_plain(kernel: VolterraKernel) -> VolterraKernel:
     j, M = kernel.order, kernel.memory
     if j <= 1:
         return kernel
-    bucket, counts = _orbit_buckets(j, M)
-    flat = kernel.data.ravel()
-    sums = np.bincount(bucket, weights=flat.real) + 1j * np.bincount(bucket, weights=flat.imag)
-    means = sums / counts
-    return VolterraKernel(j, M, means[bucket].reshape(kernel.data.shape))
+    bucket, counts, sums = _orbit_sums(kernel)
+    return VolterraKernel(j, M, (sums / counts)[bucket].reshape(kernel.data.shape))
 
 
 def symmetrize_weighted(kernel: VolterraKernel) -> VolterraKernel:
@@ -180,9 +216,7 @@ def symmetrize_weighted(kernel: VolterraKernel) -> VolterraKernel:
     j, M = kernel.order, kernel.memory
     if j <= 1:
         return kernel
-    bucket, counts = _orbit_buckets(j, M)
-    flat = kernel.data.ravel()
-    sums = np.bincount(bucket, weights=flat.real) + 1j * np.bincount(bucket, weights=flat.imag)
+    bucket, counts, sums = _orbit_sums(kernel)
     scaled = sums * (math.factorial(j) / counts**2)
     return VolterraKernel(j, M, scaled[bucket].reshape(kernel.data.shape))
 
@@ -196,11 +230,10 @@ def vfrf(kernel: VolterraKernel, L: int) -> VolterraFRF:
     """j-dimensional DFT of the kernel zero-embedded into {0..L-1}^j."""
     if kernel.memory > L:
         raise GridError(f"kernel memory {kernel.memory} exceeds grid length {L}")
-    if kernel.order == 0:
+    j = kernel.order
+    if j == 0:
         return VolterraFRF(0, L, kernel.data)
-    embedded = np.zeros((L,) * kernel.order, dtype=np.complex128)
-    embedded[tuple(slice(0, kernel.memory) for _ in range(kernel.order))] = kernel.data
-    return VolterraFRF(kernel.order, L, np.fft.fftn(embedded))
+    return VolterraFRF(j, L, np.fft.fftn(kernel.data, s=(L,) * j, axes=tuple(range(j))))
 
 
 @dataclass(frozen=True)

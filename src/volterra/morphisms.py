@@ -14,6 +14,7 @@ lens data; morphisms are defined on the indices of order >= 1.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,20 +116,21 @@ def validate_morphism(m: Morphism, V: VolterraSeries, W: VolterraSeries) -> Vali
     return ValidationReport(tuple(problems))
 
 
-def _index_arrays(matrix: np.ndarray, L: int, src_order: int) -> tuple:
-    """Mapped index arrays, one per target axis, broadcast over the source lattice."""
-    rows = []
-    full_shape = (L,) * src_order
-    for r in range(matrix.shape[0]):
-        S = np.zeros((1,) * src_order, dtype=np.int64)
-        for c in range(src_order):
-            if matrix[r, c] == 0:
-                continue
-            shape = [1] * src_order
-            shape[c] = L
-            S = S + matrix[r, c] * np.arange(L, dtype=np.int64).reshape(shape)
-        rows.append(np.broadcast_to(np.mod(S, L), full_shape))
-    return tuple(rows)
+@functools.lru_cache(maxsize=128)
+def _flat_index(matrix_bytes: bytes, shape: tuple, L: int) -> np.ndarray:
+    """Flat target index of matrix @ Omega mod L at every source point Omega.
+
+    Read-only and cached by the matrix's int64 bytes, its shape and L; it
+    never depends on the data gathered through it.
+    """
+    matrix = np.frombuffer(matrix_bytes, dtype=np.int64).reshape(shape)
+    omega = np.indices((L,) * shape[1], sparse=True)
+    flat = np.zeros((L,) * shape[1], dtype=np.int64)
+    for row in matrix:
+        flat *= L
+        flat += sum((int(c) * w for c, w in zip(row, omega) if c), 0) % L
+    flat.setflags(write=False)
+    return flat
 
 
 def pullback_gather(target_data: np.ndarray, matrix: np.ndarray, L: int) -> np.ndarray:
@@ -142,7 +144,12 @@ def pullback_gather(target_data: np.ndarray, matrix: np.ndarray, L: int) -> np.n
         return np.full((L,) * src_order, complex(target_data))
     if src_order == 0:
         return np.asarray(target_data[(0,) * tgt_order])
-    return target_data[_index_arrays(matrix, L, src_order)]
+    if target_data.shape != (L,) * tgt_order:
+        raise ContractViolation(
+            f"target tensor has shape {target_data.shape}, expected {(L,) * tgt_order}"
+        )
+    matrix = np.ascontiguousarray(matrix, dtype=np.int64)
+    return target_data.ravel()[_flat_index(matrix.tobytes(), matrix.shape, int(L))]
 
 
 def weighted_pullback(m: Morphism, i, target_frf) -> np.ndarray:

@@ -184,6 +184,8 @@ def _phase_ramps(L: int, delays) -> np.ndarray:
 def fractional_shift(x, d: float) -> np.ndarray:
     """x(t + d) by a spectral phase ramp; integer d reduces to a roll."""
     x = _signal(x)
+    if not math.isfinite(d):
+        raise DomainError(f"shift must be finite, got {d}")
     if float(d) == int(round(d)):
         return np.roll(x, -int(round(d)))
     return np.fft.ifft(np.fft.fft(x) * _phase_ramps(x.size, float(d)))

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import max_abs, random_series, random_signal
 from volterra import io
+from volterra.errors import ContractViolation
 from volterra.cli import main
 from volterra.evaluation import eval_time
 from volterra.kernels import zero_pad
@@ -217,3 +218,63 @@ def test_cli_bad_usage_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 2
+
+
+GOOD_KERNEL = {"index": 1, "order": 2, "data": [[1.0, 0.0]] * 4}
+MALFORMED_SERIES = {
+    "no kernels": {"version": 1, "memory": 2},
+    "no memory": {"version": 1, "kernels": [GOOD_KERNEL]},
+    "memory not int": {"version": 1, "memory": "2", "kernels": [GOOD_KERNEL]},
+    "kernels not list": {"version": 1, "memory": 2, "kernels": GOOD_KERNEL},
+    "short data": {"version": 1, "memory": 2, "kernels": [{**GOOD_KERNEL, "data": [[1, 0]]}]},
+    "long data": {"version": 1, "memory": 2, "kernels": [{**GOOD_KERNEL, "data": [[1, 0]] * 5}]},
+    "data not list": {"version": 1, "memory": 2, "kernels": [{**GOOD_KERNEL, "data": 3.0}]},
+    "data not pairs": {"version": 1, "memory": 2, "kernels": [{**GOOD_KERNEL, "data": [1, 2, 3, 4]}]},
+    "data strings": {"version": 1, "memory": 2, "kernels": [{**GOOD_KERNEL, "data": [["a", "b"]] * 4}]},
+    "no order": {"version": 1, "memory": 2, "kernels": [{"index": 1, "data": [[1, 0]] * 4}]},
+    "no index": {"version": 1, "memory": 2, "kernels": [{"order": 2, "data": [[1, 0]] * 4}]},
+    "entry not object": {"version": 1, "memory": 2, "kernels": [[1, 2]]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SERIES))
+def test_load_series_rejects_malformed_manifest(case, tmp_path, capsys):
+    path = tmp_path / "bad.vk"
+    path.write_text(json.dumps(MALFORMED_SERIES[case]))
+    with pytest.raises(ContractViolation, match="bad.vk"):
+        io.load_series(path)
+    assert main(["info", "--series", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+GOOD_COMPONENT = {
+    "source": 1, "target": 1, "matrix": [[1]], "mask_order": 1, "mask": [[1.0, 0.0]] * 4,
+}
+MALFORMED_MORPHISMS = {
+    "no components": {"version": 1, "length": 4},
+    "no length": {"version": 1, "components": [GOOD_COMPONENT]},
+    "null length for a mask": {"version": 1, "length": None, "components": [GOOD_COMPONENT]},
+    "short mask": {"version": 1, "length": 4, "components": [{**GOOD_COMPONENT, "mask": [[1, 0]]}]},
+    "mask not list": {"version": 1, "length": 4, "components": [{**GOOD_COMPONENT, "mask": "x"}]},
+    "ragged matrix": {"version": 1, "length": 4, "components": [{**GOOD_COMPONENT, "matrix": [[1], [1, 0]]}]},
+    "no target": {"version": 1, "length": 4, "components": [{"source": 1, "matrix": [[1]]}]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MORPHISMS))
+def test_load_morphism_rejects_malformed_manifest(case, tmp_path):
+    path = tmp_path / "bad.vm"
+    path.write_text(json.dumps(MALFORMED_MORPHISMS[case]))
+    with pytest.raises(ContractViolation, match="bad.vm"):
+        io.load_morphism(path)
+
+
+def test_cli_morph_malformed_manifest_is_error(tmp_path, rng, capsys):
+    vk = write_series(tmp_path, "v.vk", random_series(1, 4, rng))
+    path = tmp_path / "bad.vm"
+    path.write_text(json.dumps(MALFORMED_MORPHISMS["short mask"]))
+    code = main(["morph", "--check-naturality", "--morphism", str(path), "--source", vk, "--target", vk])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")

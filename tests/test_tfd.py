@@ -434,6 +434,12 @@ def test_fractional_shift_tone_phase():
     assert max_abs(got - want) < 1e-10
 
 
+@pytest.mark.parametrize("d", [float("nan"), float("inf"), -float("inf")])
+def test_fractional_shift_rejects_non_finite(d):
+    with pytest.raises(DomainError, match="finite"):
+        fractional_shift(np.ones(8), d)
+
+
 # ------------------------------------------------- pwvd kernel descriptor
 
 
