@@ -29,7 +29,6 @@ from .combinatorics import (
 )
 from .kernels import (
     DEFAULT_MAX_ORDER,
-    VolterraFRF,
     VolterraKernel,
     VolterraSeries,
     constant_kernel,

@@ -2,21 +2,24 @@
 
 A spectral multiplier weights each frequency of the input; applying a
 series to it inserts the tensor power of the weight vector into every
-slot of the projection-slice sum.  The four worked actions (translation,
-modulation, periodization, sampling) have closed forms that are cross-
+slot of the projection-slice sum.  Of the four worked actions,
+translation evaluates on the shifted input and checks shift-commutation,
+and modulation is ``eval_freq`` on the rolled spectrum.  Periodization
+and sampling remain the paper's multiset closed forms; they are cross-
 checked against the generic transform-the-input path.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .combinatorics import multinomial
 from .errors import ConsistencyError, ContractViolation, GridError
-from .evaluation import eval_freq, eval_time, outer_power, project_diagonal, _signal
+from .evaluation import eval_freq, eval_time, _signal
 from .kernels import VolterraSeries, symmetrize_plain, vfrf
 
 __all__ = [
@@ -86,24 +89,14 @@ def act_translation(series: VolterraSeries, s, d: int, tol: float = 1e-10) -> np
 
 
 def act_modulation(series: VolterraSeries, s_hat, xi: int) -> np.ndarray:
-    """Closed-form response to a frequency shift of the input.
+    """Response to a frequency shift of the input: ``eval_freq`` on the rolled spectrum.
 
     sum_j (1/L**(j-1)) sum_{sum(Omega)=w} v_hat_j(Omega) *
     s_hat^(x)j (Omega - xi * 1 mod L).
     """
     s_hat = _signal(s_hat)
-    L = s_hat.size
-    xi = xi % L
-    shifted = np.roll(s_hat, xi)  # shifted[w] = s_hat[(w - xi) mod L]
-    out = np.zeros(L, dtype=np.complex128)
-    for kernel in series.kernels.values():
-        j = kernel.order
-        if j == 0:
-            out[0] += complex(kernel.data) * L
-            continue
-        T = vfrf(kernel, L).data * outer_power(shifted, j)
-        out += project_diagonal(T, L) / L ** (j - 1)
-    return out
+    # rolled[w] = s_hat[(w - xi) mod L]
+    return eval_freq(series, np.roll(s_hat, xi % s_hat.size))
 
 
 def act_periodization(series: VolterraSeries, s_hat, T: int) -> np.ndarray:
@@ -127,12 +120,9 @@ def act_periodization(series: VolterraSeries, s_hat, T: int) -> np.ndarray:
         if j == 0:
             out[0] += complex(kernel.data) * L
             continue
-        fr = vfrf(symmetrize_plain(kernel), L).data
+        fr = vfrf(symmetrize_plain(kernel), L)
         for combo in itertools.combinations_with_replacement(range(T), j):
-            counts = [0] * T
-            for c in combo:
-                counts[c] += 1
-            weight = multinomial(j, [c for c in counts if c])
+            weight = multinomial(j, Counter(combo).values())
             omega = tuple(lattice[c] for c in combo)
             value = fr[omega]
             for w in omega:
@@ -165,10 +155,7 @@ def act_sampling(series: VolterraSeries, s, T: int) -> np.ndarray:
             admissible = range(t % T, kernel.memory, T)
             acc = complex(0.0)
             for combo in itertools.combinations_with_replacement(admissible, j):
-                counts = {}
-                for tau in combo:
-                    counts[tau] = counts.get(tau, 0) + 1
-                weight = multinomial(j, counts.values())
+                weight = multinomial(j, Counter(combo).values())
                 value = complex(sym.data[combo])
                 for tau in combo:
                     value *= s[(t - tau) % L]
@@ -202,11 +189,7 @@ def induced_linear_kernel(
     img = eval_freq(series, m.weights * s_hat)
     scale = float(np.max(np.abs(ref))) if ref.size else 0.0
     threshold = (1e-9 * scale) if eps is None else eps
+    excluded = (np.abs(ref) < threshold) | (scale == 0.0)
     weights = np.zeros_like(ref)
-    excluded = []
-    for k in range(ref.size):
-        if np.abs(ref[k]) < threshold or scale == 0.0:
-            excluded.append(k)
-        else:
-            weights[k] = img[k] / ref[k]
-    return InducedMultiplier(Multiplier(weights), tuple(excluded))
+    weights[~excluded] = img[~excluded] / ref[~excluded]
+    return InducedMultiplier(Multiplier(weights), tuple(np.flatnonzero(excluded).tolist()))

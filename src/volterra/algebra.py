@@ -31,7 +31,7 @@ from .kernels import (
     vfrf,
     zero_pad,
 )
-from .morphisms import Morphism, pullback_gather
+from .morphisms import Morphism, lens_identity, pullback_gather
 
 __all__ = [
     "SMatrix",
@@ -46,13 +46,14 @@ __all__ = [
 ]
 
 
+def _tagged_union(V: VolterraSeries, W: VolterraSeries) -> VolterraSeries:
+    """V and W side by side, their indices tagged (0, i) and (1, i)."""
+    return VolterraSeries({(tag, i): k for tag, S in ((0, V), (1, W)) for i, k in S.kernels.items()})
+
+
 def sum_series(V: VolterraSeries, W: VolterraSeries) -> VolterraSeries:
     """Level-wise addition of kernels; outputs add for every input."""
-    merged = {}
-    for tag, S in ((0, V), (1, W)):
-        for i, k in S.kernels.items():
-            merged[(tag, i)] = k
-    return VolterraSeries(merged).canonical()
+    return _tagged_union(V, W).canonical()
 
 
 def coproduct(V: VolterraSeries, W: VolterraSeries, L: int):
@@ -62,23 +63,11 @@ def coproduct(V: VolterraSeries, W: VolterraSeries, L: int):
     inclusions are unit lenses onto the tagged copies.  ``canonical()`` of
     the returned series is ``sum_series(V, W)``.
     """
-    merged = {}
-    for tag, S in ((0, V), (1, W)):
-        for i, k in S.kernels.items():
-            merged[(tag, i)] = k
-    VW = VolterraSeries(merged)
-
     def inclusion(tag, S):
-        index_map, matrices, masks = {}, {}, {}
-        for i, k in S.kernels.items():
-            if k.order == 0:
-                continue
-            index_map[i] = (tag, i)
-            matrices[i] = np.eye(k.order, dtype=np.int64)
-            masks[i] = np.ones((L,) * k.order, dtype=np.complex128)
-        return Morphism(index_map, matrices, masks)
+        unit = lens_identity(S, L)
+        return Morphism({i: (tag, i) for i in unit.index_map}, unit.matrices, unit.masks)
 
-    return VW, inclusion(0, V), inclusion(1, W)
+    return _tagged_union(V, W), inclusion(0, V), inclusion(1, W)
 
 
 def product_series(
@@ -202,10 +191,10 @@ def compose_series(
     full = n_A * n_B
     cap = full if max_order is None else max_order
     a_frf = {
-        l: vfrf(Ac.kernel_of_order(l), Lp).data for l in Ac.orders() if l >= 1
+        l: vfrf(Ac.kernel_of_order(l), Lp) for l in Ac.orders() if l >= 1
     }
     b_frf = {
-        k: vfrf(Bc.kernel_of_order(k), Lp).data for k in Bc.orders() if k >= 1
+        k: vfrf(Bc.kernel_of_order(k), Lp) for k in Bc.orders() if k >= 1
     }
     kernels = {}
     if Bc.constant != 0:

@@ -6,7 +6,8 @@ uses the projection-slice form: the output spectrum at bin w collects
 kernel-weighted input-spectrum products over all frequency vectors whose
 components sum to w mod L, scaled by 1 / L**(j-1).  That normalization is
 what makes the time and frequency paths agree exactly under the package's
-DFT convention.
+DFT convention.  Every frequency-domain evaluator of the package shares
+``_slice_sum``, and every delay-lattice contraction shares ``_contract``.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .combinatorics import Multicombination, multinomial
+from .combinatorics import Multicombination
 from .errors import ContractViolation, GridError
-from .kernels import VolterraKernel, VolterraSeries, symmetrize_plain
+from .kernels import VolterraKernel, VolterraSeries, vfrf
 
 __all__ = [
     "MultiInput",
@@ -78,8 +79,18 @@ def oracle_eval(series: VolterraSeries, s) -> np.ndarray:
 def _shift_matrix(s: np.ndarray, M: int) -> np.ndarray:
     """Rows m = 0..M-1 hold the signal delayed by m samples."""
     L = s.size
+    if M > L:
+        raise GridError(f"kernel memory {M} exceeds signal length {L}")
     idx = (np.arange(L)[None, :] - np.arange(M)[:, None]) % L
     return s[idx]
+
+
+def _contract(data: np.ndarray, mats) -> np.ndarray:
+    """sum_tau data(tau) prod_r mats[r][tau_r, t], one delay axis at a time."""
+    T = np.tensordot(data, mats[0], axes=([0], [0]))  # (..., t)
+    for mat in mats[1:]:
+        T = np.einsum("a...t,at->...t", T, mat)
+    return T
 
 
 def eval_homogeneous(kernel: VolterraKernel, s) -> np.ndarray:
@@ -88,14 +99,7 @@ def eval_homogeneous(kernel: VolterraKernel, s) -> np.ndarray:
     L = s.size
     if kernel.order == 0:
         return np.full(L, complex(kernel.data), dtype=np.complex128)
-    if kernel.memory > L:
-        raise GridError(f"kernel memory {kernel.memory} exceeds signal length {L}")
-    S = _shift_matrix(s, kernel.memory)
-    # contract one delay axis at a time, keeping the output-time axis
-    T = np.tensordot(kernel.data, S, axes=([0], [0]))  # (..., t)
-    for _ in range(kernel.order - 1):
-        T = np.einsum("a...t,at->...t", T, S)
-    return T
+    return _contract(kernel.data, [_shift_matrix(s, kernel.memory)] * kernel.order)
 
 
 def eval_time(series: VolterraSeries, s) -> np.ndarray:
@@ -140,6 +144,18 @@ def outer_power(v: np.ndarray, j: int) -> np.ndarray:
     return out.reshape((v.size,) * j)
 
 
+def _slice_sum(kernel: VolterraKernel, s_hat: np.ndarray, *factors) -> np.ndarray:
+    """project_diagonal(v_hat_j . s_hat^(x)j . factors) / L**(j-1), for order j >= 1.
+
+    Each factor is a tensor over {0..L-1}^j, multiplied in after the input power.
+    """
+    L, j = s_hat.size, kernel.order
+    T = vfrf(kernel, L) * outer_power(s_hat, j)
+    for factor in factors:
+        T = T * factor
+    return project_diagonal(T, L) / L ** (j - 1)
+
+
 def eval_freq(series: VolterraSeries, s_hat, weights=None) -> np.ndarray:
     """Projection-slice evaluation of the output spectrum.
 
@@ -149,8 +165,6 @@ def eval_freq(series: VolterraSeries, s_hat, weights=None) -> np.ndarray:
     spectral weight vector applied to every input slot (the action of a
     multiplier on the series).
     """
-    from .kernels import vfrf
-
     s_hat = _signal(s_hat)
     L = s_hat.size
     if weights is not None:
@@ -163,11 +177,8 @@ def eval_freq(series: VolterraSeries, s_hat, weights=None) -> np.ndarray:
         if j == 0:
             out[0] += complex(kernel.data) * L
             continue
-        fr = vfrf(kernel, L).data
-        T = fr * outer_power(s_hat, j)
-        if weights is not None:
-            T = T * outer_power(weights, j)
-        out += project_diagonal(T, L) / L ** (j - 1)
+        factors = () if weights is None else (outer_power(weights, j),)
+        out += _slice_sum(kernel, s_hat, *factors)
     return out
 
 
@@ -241,13 +252,8 @@ def eval_multivariate(bank: MultivariateKernelBank, inputs: MultiInput, output) 
         if j == 0:
             y += weight * complex(kernel.data)
             continue
-        if kernel.memory > L:
-            raise GridError(f"kernel memory {kernel.memory} exceeds signal length {L}")
         mats = [_shift_matrix(inputs.signals[b], kernel.memory) for b in seq]
-        T = np.tensordot(kernel.data, mats[0], axes=([0], [0]))
-        for mat in mats[1:]:
-            T = np.einsum("a...t,at->...t", T, mat)
-        y += weight * T
+        y += weight * _contract(kernel.data, mats)
     return y
 
 
@@ -283,31 +289,13 @@ def comb_signal(L: int, T: int) -> np.ndarray:
 
 
 def response_comb(series: VolterraSeries, T: int, L: int) -> np.ndarray:
-    """Response to the period-T impulse train, via multiset-weighted kernel sums.
+    """Response to the period-T impulse train: ``act_sampling`` of the all-ones signal.
 
     y(t) = v0 + sum_j sum over delay multisets {tau_i} with tau_i = t mod T
     of multinomial(j; multiplicities) * v_j^sym(tau).  Kernels are
     symmetrized first; the collection over multisets is exact for
     symmetric kernels and evaluation cannot tell the difference.
     """
-    if T < 1 or L % T != 0:
-        raise GridError(f"comb period {T} must divide the grid length {L}")
-    y = np.zeros(L, dtype=np.complex128)
-    for kernel in series.kernels.values():
-        j = kernel.order
-        if j == 0:
-            y += complex(kernel.data)
-            continue
-        if kernel.memory > L:
-            raise GridError(f"kernel memory {kernel.memory} exceeds grid length {L}")
-        sym = symmetrize_plain(kernel)
-        for t in range(L):
-            admissible = range(t % T, kernel.memory, T)
-            acc = complex(0.0)
-            for combo in itertools.combinations_with_replacement(admissible, j):
-                counts = [0] * kernel.memory
-                for tau in combo:
-                    counts[tau] += 1
-                acc += multinomial(j, [c for c in counts if c]) * complex(sym.data[combo])
-            y[t] += acc
-    return y
+    from .actions import act_sampling  # actions imports this module
+
+    return act_sampling(series, np.ones(L, dtype=np.complex128), T)

@@ -46,10 +46,11 @@ def read_signal_csv(path) -> np.ndarray:
             line = line.strip()
             if not line:
                 continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ContractViolation(f"{path}:{line_no}: expected 're,im', got {line!r}")
-            out.append(complex(float(parts[0]), float(parts[1])))
+            try:
+                real, imag = line.split(",")
+                out.append(complex(float(real), float(imag)))
+            except ValueError:
+                raise ContractViolation(f"{path}:{line_no}: expected 're,im', got {line!r}") from None
     if not out:
         raise ContractViolation(f"{path}: empty signal file")
     return np.asarray(out, dtype=np.complex128)

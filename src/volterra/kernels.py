@@ -44,7 +44,6 @@ from .errors import ContractViolation, GridError
 
 __all__ = [
     "VolterraKernel",
-    "VolterraFRF",
     "VolterraSeries",
     "DEFAULT_MAX_ORDER",
     "kernel_from_array",
@@ -102,25 +101,6 @@ class VolterraKernel:
         if self.order != 0:
             raise ContractViolation("constant is only defined for order-0 kernels")
         return complex(self.data)
-
-
-@dataclass(frozen=True)
-class VolterraFRF:
-    """Frequency response of a kernel: the j-dim DFT on the length-L grid."""
-
-    order: int
-    length: int
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = _as_complex(self.data)
-        if data.shape != (self.length,) * self.order:
-            raise ContractViolation(
-                f"frf data shape {data.shape} != {(self.length,) * self.order}"
-            )
-        data = data.copy()
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
 
 
 def kernel_from_array(data, memory=None) -> VolterraKernel:
@@ -226,14 +206,20 @@ def symmetric_part_max_deviation(kernel: VolterraKernel) -> float:
     return float(np.max(np.abs(kernel.data - symmetrize_plain(kernel).data))) if kernel.order else 0.0
 
 
-def vfrf(kernel: VolterraKernel, L: int) -> VolterraFRF:
-    """j-dimensional DFT of the kernel zero-embedded into {0..L-1}^j."""
+def vfrf(kernel: VolterraKernel, L: int) -> np.ndarray:
+    """j-dimensional DFT of the kernel zero-embedded into {0..L-1}^j.
+
+    Returns a read-only complex array of shape ``(L,) * j``; for an order-0
+    kernel that is the 0-d constant term.
+    """
     if kernel.memory > L:
         raise GridError(f"kernel memory {kernel.memory} exceeds grid length {L}")
     j = kernel.order
     if j == 0:
-        return VolterraFRF(0, L, kernel.data)
-    return VolterraFRF(j, L, np.fft.fftn(kernel.data, s=(L,) * j, axes=tuple(range(j))))
+        return kernel.data
+    fr = np.fft.fftn(kernel.data, s=(L,) * j, axes=tuple(range(j)))
+    fr.setflags(write=False)
+    return fr
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .evaluation import outer_power, project_diagonal, _signal
+from .evaluation import outer_power, _signal, _slice_sum
 from .kernels import VolterraKernel, VolterraSeries, delta_kernel, vfrf
 
 __all__ = [
@@ -154,10 +154,9 @@ def pullback_gather(target_data: np.ndarray, matrix: np.ndarray, L: int) -> np.n
 
 def weighted_pullback(m: Morphism, i, target_frf) -> np.ndarray:
     """mask(Omega) * w_hat(matrix @ Omega mod L) over the source lattice."""
-    data = target_frf.data if hasattr(target_frf, "data") else np.asarray(target_frf)
     L = m.length
     mask = m.masks[i]
-    pulled = pullback_gather(data, m.matrices[i], L)
+    pulled = pullback_gather(np.asarray(target_frf), m.matrices[i], L)
     if pulled.shape != mask.shape:
         raise ContractViolation(
             f"pullback shape {pulled.shape} does not match mask shape {mask.shape}"
@@ -185,17 +184,17 @@ def apply_component(
     L = s_hat.size
     if m.length is not None and m.length != L:
         raise ContractViolation(f"morphism masks built for length {m.length}, spectrum has {L}")
+    post = None if post_weights is None else _signal(post_weights)
     out = np.zeros(L, dtype=np.complex128)
     for i, target in m.index_map.items():
         kernel = V.kernels[i]
         j = kernel.order
         if j == 0:
             continue
-        T = vfrf(kernel, L).data * outer_power(s_hat, j)
-        T = T * weighted_pullback(m, i, vfrf(W.kernels[target], L))
-        if post_weights is not None:
-            T = T * outer_power(_signal(post_weights), j)
-        out += project_diagonal(T, L) / L ** (j - 1)
+        factors = [weighted_pullback(m, i, vfrf(W.kernels[target], L))]
+        if post is not None:
+            factors.append(outer_power(post, j))
+        out += _slice_sum(kernel, s_hat, *factors)
     return out
 
 
@@ -292,7 +291,7 @@ def catalog(
     """
     if kind not in CATALOG_KINDS:
         raise ContractViolation(f"unknown catalog kind {kind!r}; choose from {CATALOG_KINDS}")
-    active = {i: k for i, k in V.kernels.items() if k.order >= 1}
+    unit = lens_identity(V, L)
 
     def param_for(i, default=None):
         if params is None:
@@ -305,19 +304,17 @@ def catalog(
         return params
 
     target_kernels = {}
-    masks = {}
-    for i, kernel in active.items():
+    masks = dict(unit.masks)
+    for i in unit.index_map:
+        kernel = V.kernels[i]
         j = kernel.order
-        ones = np.ones((L,) * j, dtype=np.complex128)
         if kind == "trivial":
             target_kernels[i] = delta_kernel(j, 1)
-            masks[i] = ones
         elif kind == "autoconvolution":
             target_kernels[i] = kernel
-            masks[i] = ones
         elif kind == "identity":
             target_kernels[i] = kernel
-            fr = vfrf(kernel, L).data
+            fr = vfrf(kernel, L)
             cutoff = (1e-12 * float(np.max(np.abs(fr)))) if eps is None else eps
             mask = np.zeros_like(fr)
             support = np.abs(fr) >= cutoff
@@ -330,7 +327,6 @@ def catalog(
                 raise ContractViolation(f"offset vector {offsets} does not match order {j}")
             M = max(offsets) + 1
             target_kernels[i] = delta_kernel(j, M, offsets)
-            masks[i] = ones
         elif kind == "sampling":
             T = int(param_for(i, 1))
             if T < 1:
@@ -339,7 +335,6 @@ def catalog(
             grid = np.indices((M,) * j)
             comb = np.all(grid % T == 0, axis=0).astype(np.complex128)
             target_kernels[i] = VolterraKernel(j, M, comb)
-            masks[i] = ones
         elif kind == "smoothing":
             C = param_for(i)
             if C is None:
@@ -354,9 +349,5 @@ def catalog(
                 raise ContractViolation("smoothing quadratic form must be positive definite")
             M = memory if memory is not None else max(V.memory, 4)
             target_kernels[i] = VolterraKernel(j, M, _wrapped_quadratic(j, M, sym))
-            masks[i] = ones
 
-    W = VolterraSeries(target_kernels)
-    matrices = {i: np.eye(V.kernels[i].order, dtype=np.int64) for i in active}
-    m = Morphism({i: i for i in active}, matrices, masks)
-    return W, m
+    return VolterraSeries(target_kernels), Morphism(unit.index_map, unit.matrices, masks)

@@ -33,6 +33,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractViolation, DomainError, GridError, ResourceError
+from .evaluation import _contract, _shift_matrix
 from .kernels import VolterraKernel
 
 __all__ = [
@@ -397,10 +398,7 @@ def eval_double_bilinear(kernel: VolterraKernel, xa, xb) -> np.ndarray:
     L = xa.size
     if kernel.order != 2 or kernel.memory != L or xb.size != L:
         raise ContractViolation("kernel memory and both signal lengths must agree")
-    n = np.arange(L)
-    U = xa[(n[None, :] - n[:, None]) % L]  # U[u, t] = xa(t - u)
-    V = xb[(n[None, :] - n[:, None]) % L]
-    return np.sum(U * (kernel.data @ V), axis=0)
+    return _contract(kernel.data, [_shift_matrix(xa, L), _shift_matrix(xb, L)])
 
 
 def _conjugation_signs(k: int) -> list[int]:

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from volterra.kernels import VolterraKernel, VolterraSeries, constant_kernel
+
+# One hypothesis profile for every property test.  No per-example deadline:
+# a busy host can stall any single example without the code being slow.
+settings.register_profile("volterra", deadline=None)
+settings.load_profile("volterra")
 
 
 def random_kernel(order, memory, rng, scale=1.0):

@@ -48,7 +48,7 @@ def test_linear_series_is_filtering(rng):
     from volterra.kernels import vfrf
 
     got = apply_action(series, Multiplier(gamma), s_hat)
-    assert max_abs(got - vfrf(K, 8).data * gamma * s_hat) < 1e-12
+    assert max_abs(got - vfrf(K, 8) * gamma * s_hat) < 1e-12
 
 
 def test_translation_zero_shift(rng):

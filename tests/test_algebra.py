@@ -80,13 +80,13 @@ def test_product_blockwise_vfrf_formula(rng):
     L = 8
     j = 3
     want = np.zeros((L,) * j, dtype=complex)
-    a2 = vfrf(A.kernels[2], L).data
-    b1 = vfrf(B.kernels[1], L).data
-    a1 = vfrf(A.kernels[1], L).data
+    a2 = vfrf(A.kernels[2], L)
+    b1 = vfrf(B.kernels[1], L)
+    a1 = vfrf(A.kernels[1], L)
     # (2,1) and (1,2) splits are the only ones with both factors present
     want += np.multiply.outer(a2, b1)
     # no order-2 kernel in B, no order-0 terms: (1,2) and (0,3), (3,0) vanish
-    got = vfrf(P.kernel_of_order(3), L).data
+    got = vfrf(P.kernel_of_order(3), L)
     assert rel_err(got, want) < 1e-12
 
 

@@ -21,7 +21,7 @@ from volterra.errors import ContractViolation
 from volterra.kernels import _orbit_buckets, symmetrize_plain, symmetrize_weighted
 from volterra.morphisms import _flat_index, pullback_gather
 
-SETTINGS = settings(max_examples=60, deadline=None)
+SETTINGS = settings(settings.get_profile("volterra"), max_examples=60)
 orders = st.integers(min_value=1, max_value=4)
 memories = st.integers(min_value=1, max_value=4)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)

@@ -278,3 +278,29 @@ def test_cli_morph_malformed_manifest_is_error(tmp_path, rng, capsys):
     code = main(["morph", "--check-naturality", "--morphism", str(path), "--source", vk, "--target", vk])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_read_signal_csv_rejects_non_number(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("0.5,0.0\n1.0,abc\n")
+    with pytest.raises(ContractViolation, match="bad.csv:2:"):
+        io.read_signal_csv(path)
+
+
+@pytest.mark.parametrize("command", ["eval", "tfd"])
+def test_cli_malformed_signal_csv_is_error(command, tmp_path, rng, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("1.0,abc\n")
+    out = str(tmp_path / "out.csv")
+    if command == "eval":
+        vk = write_series(tmp_path, "v.vk", random_series(1, 2, rng))
+        argv = ["eval", "--series", vk, "--signal", str(bad), "--out", out]
+    else:
+        good = tmp_path / "x.csv"
+        io.write_signal_csv(good, random_signal(16, rng))
+        argv = ["tfd", "--in", str(good), "--method", "cohen", "--phi", "spectrogram",
+                "--window", str(bad), "--out", out]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "bad.csv:1:" in captured.err

@@ -57,7 +57,7 @@ def test_weighted_pullback_identity(rng):
     V = random_series(2, 3, rng)
     m = lens_identity(V, L)
     fr = vfrf(V.kernels[2], L)
-    assert np.array_equal(weighted_pullback(m, 2, fr), fr.data)
+    assert np.array_equal(weighted_pullback(m, 2, fr), fr)
 
 
 def test_weighted_pullback_zero_mask(rng):
@@ -75,7 +75,7 @@ def test_weighted_pullback_shear_spot_check(rng):
     out = weighted_pullback(m, 2, fr)
     for point in [(3, 7), (0, 0), (11, 5)]:
         i1, i2 = point
-        assert out[point] == fr.data[(2 * i1 + i2) % L, (-i1) % L]
+        assert out[point] == fr[(2 * i1 + i2) % L, (-i1) % L]
 
 
 def test_pullback_gather_shape_mismatch(rng):
@@ -95,7 +95,7 @@ def test_component_autoconvolution_squares_spectra(rng):
     W, m = catalog("autoconvolution", V, L)
     squared = VolterraSeries(
         {
-            j: VolterraKernel(j, L, np.fft.ifftn(vfrf(V.kernels[j], L).data ** 2))
+            j: VolterraKernel(j, L, np.fft.ifftn(vfrf(V.kernels[j], L) ** 2))
             for j in V.kernels
         }
     )
@@ -138,7 +138,7 @@ def test_convolution_type_component_breaks_naturality(rng):
     # mask-and-pullback components above.  Demonstrated at order 1 where the
     # component is an explicit linear map on spectra.
     V = random_series(1, 3, rng)
-    fr = vfrf(V.kernels[1], L).data
+    fr = vfrf(V.kernels[1], L)
 
     def mask_component(s_hat):
         return fr * s_hat  # pointwise: commutes with multipliers
