@@ -2,25 +2,21 @@
 
 A spectral multiplier weights each frequency of the input; applying a
 series to it inserts the tensor power of the weight vector into every
-slot of the projection-slice sum.  Of the four worked actions,
-translation evaluates on the shifted input and checks shift-commutation,
-and modulation is ``eval_freq`` on the rolled spectrum.  Periodization
-and sampling remain the paper's multiset closed forms; they are cross-
-checked against the generic transform-the-input path.
+slot of the projection-slice sum.  All four worked actions are evaluators
+on a transformed input: translation on the shifted input (with a
+commutation check), modulation on the rolled spectrum, periodization with
+the comb's spectrum as multiplier, sampling on the comb-multiplied input.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import multinomial
 from .errors import ConsistencyError, ContractViolation, GridError
-from .evaluation import eval_freq, eval_time, _signal
-from .kernels import VolterraSeries, symmetrize_plain, vfrf
+from .evaluation import comb_signal, eval_freq, eval_time, _signal
+from .kernels import VolterraSeries
 
 __all__ = [
     "Multiplier",
@@ -65,9 +61,6 @@ def apply_action(series: VolterraSeries, m: Multiplier, s_hat) -> np.ndarray:
     kept as its own factor rather than folded into the spectrum first, so
     the identity multiplier is preserved bit for bit.
     """
-    s_hat = _signal(s_hat)
-    if m.length != s_hat.size:
-        raise ContractViolation("multiplier and spectrum lengths differ")
     return eval_freq(series, s_hat, weights=m.weights)
 
 
@@ -77,10 +70,9 @@ def act_translation(series: VolterraSeries, s, d: int, tol: float = 1e-10) -> np
     Returns eval_time(series, shift(s, d)); raises ConsistencyError if it
     deviates from shift(eval_time(series, s), d) by more than tol.
     """
-    s = _signal(s)
     shifted_first = eval_time(series, np.roll(s, d))
     shifted_last = np.roll(eval_time(series, s), d)
-    residual = float(np.max(np.abs(shifted_first - shifted_last))) if s.size else 0.0
+    residual = float(np.max(np.abs(shifted_first - shifted_last)))
     if residual > tol:
         raise ConsistencyError(
             f"translation commutation residual {residual:.3e} exceeds {tol:.1e}"
@@ -94,74 +86,33 @@ def act_modulation(series: VolterraSeries, s_hat, xi: int) -> np.ndarray:
     sum_j (1/L**(j-1)) sum_{sum(Omega)=w} v_hat_j(Omega) *
     s_hat^(x)j (Omega - xi * 1 mod L).
     """
-    s_hat = _signal(s_hat)
     # rolled[w] = s_hat[(w - xi) mod L]
-    return eval_freq(series, np.roll(s_hat, xi % s_hat.size))
+    return eval_freq(series, np.roll(s_hat, xi))
 
 
 def act_periodization(series: VolterraSeries, s_hat, T: int) -> np.ndarray:
-    """Closed-form response to periodization (convolution with a period-T comb).
+    """Response to periodization (circular convolution with a period-T comb).
 
-    The input spectrum collapses onto the lattice of multiples of L/T with
-    weight L/T; the projection-slice sum restricts to lattice frequency
-    vectors, collected over multisets with multinomial weights (exact for
-    the symmetrized kernels used here).
+    Convolution multiplies the spectrum by the comb's, which is L/T times
+    the comb of period L/T: exactly L/T on the multiples of L/T and 0
+    elsewhere.  So this is ``apply_action`` with that multiplier; T = L is
+    the unit multiplier.
     """
     s_hat = _signal(s_hat)
     L = s_hat.size
     if T < 1 or L % T != 0:
         raise GridError(f"periodization period {T} must divide the grid length {L}")
     step = L // T
-    lattice = np.arange(T) * step
-    gain = float(L // T)
-    out = np.zeros(L, dtype=np.complex128)
-    for kernel in series.kernels.values():
-        j = kernel.order
-        if j == 0:
-            out[0] += complex(kernel.data) * L
-            continue
-        fr = vfrf(symmetrize_plain(kernel), L)
-        for combo in itertools.combinations_with_replacement(range(T), j):
-            weight = multinomial(j, Counter(combo).values())
-            omega = tuple(lattice[c] for c in combo)
-            value = fr[omega]
-            for w in omega:
-                value = value * (gain * s_hat[w])
-            out[sum(omega) % L] += weight * value / L ** (j - 1)
-    return out
+    return apply_action(series, Multiplier(step * comb_signal(L, step)), s_hat)
 
 
 def act_sampling(series: VolterraSeries, s, T: int) -> np.ndarray:
-    """Closed-form response to sampling (multiplication by a period-T comb).
+    """Response to sampling: ``eval_time`` on the input times the period-T comb.
 
-    Only delays congruent to t mod T survive; the surviving lattice is
-    collected over multisets with multinomial weights against the
-    symmetrized kernels.
+    Only delays congruent to t mod T read a nonzero sample.
     """
     s = _signal(s)
-    L = s.size
-    if T < 1 or L % T != 0:
-        raise GridError(f"sampling period {T} must divide the grid length {L}")
-    y = np.zeros(L, dtype=np.complex128)
-    for kernel in series.kernels.values():
-        j = kernel.order
-        if j == 0:
-            y += complex(kernel.data)
-            continue
-        if kernel.memory > L:
-            raise GridError(f"kernel memory {kernel.memory} exceeds signal length {L}")
-        sym = symmetrize_plain(kernel)
-        for t in range(L):
-            admissible = range(t % T, kernel.memory, T)
-            acc = complex(0.0)
-            for combo in itertools.combinations_with_replacement(admissible, j):
-                weight = multinomial(j, Counter(combo).values())
-                value = complex(sym.data[combo])
-                for tau in combo:
-                    value *= s[(t - tau) % L]
-                acc += weight * value
-            y[t] += acc
-    return y
+    return eval_time(series, comb_signal(s.size, T) * s)
 
 
 @dataclass(frozen=True)

@@ -77,12 +77,15 @@ def oracle_eval(series: VolterraSeries, s) -> np.ndarray:
 
 
 def _shift_matrix(s: np.ndarray, M: int) -> np.ndarray:
-    """Rows m = 0..M-1 hold the signal delayed by m samples."""
+    """Rows m = 0..M-1 hold the signal delayed by m samples: a read-only view."""
     L = s.size
     if M > L:
         raise GridError(f"kernel memory {M} exceeds signal length {L}")
-    idx = (np.arange(L)[None, :] - np.arange(M)[:, None]) % L
-    return s[idx]
+    wrapped = np.concatenate([s[L - M + 1 :], s])  # wrapped[i] = s((i - M + 1) mod L)
+    step = wrapped.itemsize  # row m, column t reads wrapped[M - 1 - m + t]
+    bank = np.ndarray((M, L), wrapped.dtype, wrapped, (M - 1) * step, (-step, step))
+    bank.flags.writeable = False
+    return bank
 
 
 def _contract(data: np.ndarray, mats) -> np.ndarray:
@@ -289,13 +292,9 @@ def comb_signal(L: int, T: int) -> np.ndarray:
 
 
 def response_comb(series: VolterraSeries, T: int, L: int) -> np.ndarray:
-    """Response to the period-T impulse train: ``act_sampling`` of the all-ones signal.
+    """Response to the period-T impulse train: ``eval_time`` on ``comb_signal(L, T)``.
 
-    y(t) = v0 + sum_j sum over delay multisets {tau_i} with tau_i = t mod T
-    of multinomial(j; multiplicities) * v_j^sym(tau).  Kernels are
-    symmetrized first; the collection over multisets is exact for
-    symmetric kernels and evaluation cannot tell the difference.
+    y(t) = v0 + sum_j sum_{tau_i = t mod T} v_j(tau); only delays on the
+    comb's lattice read a nonzero input sample.
     """
-    from .actions import act_sampling  # actions imports this module
-
-    return act_sampling(series, np.ones(L, dtype=np.complex128), T)
+    return eval_time(series, comb_signal(L, T))

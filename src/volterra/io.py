@@ -39,21 +39,30 @@ def write_signal_csv(path, signal):
             fh.write(f"{float(z.real)!r},{float(z.imag)!r}\n")
 
 
-def read_signal_csv(path) -> np.ndarray:
-    out = []
+def _csv_rows(path, width=None) -> list:
+    """Float rows of a CSV file, blank lines skipped, all as wide as ``width`` or the first."""
+    rows = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                real, imag = line.split(",")
-                out.append(complex(float(real), float(imag)))
+                row = [float(v) for v in line.split(",")]
             except ValueError:
-                raise ContractViolation(f"{path}:{line_no}: expected 're,im', got {line!r}") from None
-    if not out:
+                raise ContractViolation(f"{path}:{line_no}: expected numbers, got {line!r}") from None
+            width = width or len(row)
+            if len(row) != width:
+                raise ContractViolation(f"{path}:{line_no}: expected {width} fields, got {line!r}")
+            rows.append(row)
+    return rows
+
+
+def read_signal_csv(path) -> np.ndarray:
+    rows = _csv_rows(path, 2)
+    if not rows:
         raise ContractViolation(f"{path}: empty signal file")
-    return np.asarray(out, dtype=np.complex128)
+    return np.asarray(rows).view(np.complex128)[:, 0]  # each (re, im) row is one complex128
 
 
 def write_grid_csv(path, values):
@@ -71,13 +80,7 @@ def write_grid_csv(path, values):
 
 
 def read_grid_csv(path) -> np.ndarray:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append([float(v) for v in line.split(",")])
-    return np.asarray(rows)
+    return np.asarray(_csv_rows(path))
 
 
 def write_pgm(path, values):

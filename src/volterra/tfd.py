@@ -33,7 +33,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractViolation, DomainError, GridError, ResourceError
-from .evaluation import _contract, _shift_matrix
+from .evaluation import _contract, _shift_matrix, _signal
 from .kernels import VolterraKernel
 
 __all__ = [
@@ -71,10 +71,11 @@ __all__ = [
 _BLOCK = 64
 
 
-def _signal(x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.complex128)
-    if x.ndim != 1 or x.size < 2:
-        raise ContractViolation(f"signal must be 1-d with length >= 2, got shape {x.shape}")
+def _even_grid(x, where: str) -> np.ndarray:
+    """``_signal`` on the even-length grid the symmetric half-lag axis needs."""
+    x = _signal(x)
+    if x.size % 2:
+        raise GridError(f"{where} needs an even-length grid")
     return x
 
 
@@ -155,11 +156,9 @@ def analytic_signal(s) -> np.ndarray:
     Doubles the strictly positive bins, keeps DC and Nyquist, zeroes the
     negative bins; the real part of the result reproduces the input.
     """
-    s = np.asarray(s)
-    if s.ndim != 1 or s.size % 2 != 0:
-        raise GridError("analytic_signal needs a 1-d signal of even length")
+    s = _even_grid(s, "analytic_signal")
     L = s.size
-    spectrum = np.fft.fft(np.asarray(s, dtype=np.complex128))
+    spectrum = np.fft.fft(s)
     gain = np.zeros(L)
     gain[0] = 1.0
     gain[L // 2] = 1.0
@@ -247,9 +246,7 @@ def wvd(x, boundary: str = "circular") -> TFDGrid:
     zeroes out-of-range reads instead, matching the behaviour of the
     continuous transform on a finite record.
     """
-    x = _signal(x)
-    if x.size % 2:
-        raise GridError("wvd needs an even-length grid")
+    x = _even_grid(x, "wvd")
     _warn_if_not_analytic(x, "wvd")
     L = x.size
     return TFDGrid(_lag_transform(_lag_products(x, boundary), L), 1.0 / L)
@@ -320,9 +317,7 @@ def ambiguity(h) -> ParameterFunction:
     A(xi, m) = sum_n h(n+m) conj(h(n-m)) exp(-2i pi xi n / L); the origin
     value is the window energy.
     """
-    h = _signal(h)
-    if h.size % 2:
-        raise GridError("ambiguity needs an even-length grid")
+    h = _even_grid(h, "ambiguity")
     R = _lag_products(h)
     return ParameterFunction(np.fft.fft(R, axis=0, out=R), _half_lags(h.size))
 
@@ -359,10 +354,8 @@ def cohen(x, phi: ParameterFunction) -> TFDGrid:
     Fourier dual of the 2-D smoothing of the Wigner distribution by the
     inverse transform of phi; phi == 1 returns the Wigner distribution.
     """
-    x = _signal(x)
+    x = _even_grid(x, "cohen")
     L = x.size
-    if x.size % 2:
-        raise GridError("cohen needs an even-length grid")
     if phi.length != L or not np.array_equal(phi.lags, _half_lags(L)):
         raise ContractViolation("parameter function grid does not match the signal grid")
     A = _lag_products(x)
@@ -384,11 +377,11 @@ def cohen_volterra_kernel(phi: ParameterFunction, f_bin: int) -> VolterraKernel:
     L = phi.length
     pi_cm = np.fft.ifft(phi.values, axis=0)  # (c, lag index)
     ms = phi.lags
+    ramp = np.exp(-2j * np.pi * f_bin * (2 * ms) / L)
     h = np.zeros((L, L), dtype=np.complex128)
-    c = np.arange(L)
-    for i, m in enumerate(ms):
-        weight = np.exp(-2j * np.pi * f_bin * (2 * m) / L)
-        h[(c + m) % L, (c - m) % L] += pi_cm[:, i] * weight
+    c = np.arange(L)[:, None]
+    # add.at accumulates the +-L/4 endpoints that land on one cell when L = 0 (mod 4)
+    np.add.at(h, ((c + ms) % L, (c - ms) % L), pi_cm * ramp)
     return VolterraKernel(2, L, h)
 
 
@@ -420,12 +413,10 @@ def howvd(x, k: int, memory_budget: int = 1 << 24) -> MultiAxisGrid:
     that a pure tone at bin k0 produces a ridge at bin k0 on every axis;
     k = 2 reduces exactly to the Wigner distribution.
     """
-    x = _signal(x)
-    L = x.size
     if k < 2:
         raise ContractViolation(f"howvd needs order k >= 2, got {k}")
-    if L % 2:
-        raise GridError("howvd needs an even-length grid")
+    x = _even_grid(x, "howvd")
+    L = x.size
     _warn_if_not_analytic(x, "howvd")
     ms = _half_lags(L)
     half = L // 2
@@ -603,10 +594,8 @@ def pwvd(x, ls: LambdaSet, smoothing=None, max_half_lag: int | None = None) -> T
     (L, 2 floor(L/4) + 1) to a filtered one before the transform: the
     pass-through hook for higher-order smoothing kernels.
     """
-    x = _signal(x)
+    x = _even_grid(x, "pwvd")
     L = x.size
-    if L % 2:
-        raise GridError("pwvd needs an even-length grid")
     _warn_if_not_analytic(x, "pwvd")
     radius = L // 4 if max_half_lag is None else int(max_half_lag)
     if not 0 < radius <= L // 4:
@@ -667,10 +656,8 @@ class PwvdKernelDescriptor:
         and summed.  An inconsistent half-sum empties the constraint slice
         and returns zeros.
         """
-        z = _signal(z)
+        z = _even_grid(z, "contract")
         L = z.size
-        if L % 2:
-            raise GridError("contract needs an even-length grid")
         if abs(sum(self.lambdas.lambdas) - 0.5) > 1e-9:
             return np.zeros(L, dtype=np.complex128)
         weights = np.exp(-2j * np.pi * self.f_bin * 2 * _half_lags(L) / L)

@@ -14,6 +14,7 @@ from volterra.evaluation import (
     oracle_eval,
     response_comb,
     response_exponential,
+    _shift_matrix,
 )
 from volterra.kernels import (
     delta_kernel,
@@ -206,3 +207,16 @@ def test_response_comb_matches_eval_time(rng):
 def test_response_comb_period_must_divide():
     with pytest.raises(GridError):
         comb_signal(10, 3)
+
+
+@pytest.mark.parametrize("L, M", [(1, 1), (5, 1), (5, 3), (5, 5), (16, 4)])
+def test_shift_matrix_is_read_only_delay_bank(L, M, rng):
+    s = random_signal(L, rng)
+    bank = _shift_matrix(s, M)
+    assert not bank.flags.writeable
+    assert np.array_equal(bank, s[(np.arange(L)[None, :] - np.arange(M)[:, None]) % L])
+
+
+def test_shift_matrix_rejects_memory_beyond_length(rng):
+    with pytest.raises(GridError):
+        _shift_matrix(random_signal(3, rng), 4)

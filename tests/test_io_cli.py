@@ -280,6 +280,18 @@ def test_cli_morph_malformed_manifest_is_error(tmp_path, rng, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [("1,2\n1,abc\n", 2), ("1,2\n\n3\n", 3)],
+    ids=["non-number", "ragged"],
+)
+def test_read_grid_csv_rejects_malformed_rows(text, line, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ContractViolation, match=f"bad.csv:{line}:"):
+        io.read_grid_csv(path)
+
+
 def test_read_signal_csv_rejects_non_number(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0.5,0.0\n1.0,abc\n")

@@ -3,7 +3,9 @@
 Every frequency-domain evaluator shares one projection-slice sum and every
 time-domain evaluator one delay-lattice contraction; these checks tie each
 path to an independent one: the nested-loop oracle, the DFT of the time
-path, and the time path on the transformed input.
+path, and the time path on the transformed input.  The interconnection
+laws (sum, product, composition) are checked the same way on pairs of
+series with j <= 2, M <= 3 and composite memory M_A + M_B - 1 <= L.
 """
 
 import numpy as np
@@ -11,12 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import max_abs, random_series, random_signal, rel_err
-from volterra.actions import act_modulation
+from volterra.actions import act_modulation, act_periodization
+from volterra.algebra import compose_series, product_series, sum_series
 from volterra.evaluation import comb_signal, eval_freq, eval_time, oracle_eval, response_comb
 from volterra.kernels import VolterraSeries, delta_kernel
 from volterra.morphisms import apply_component, lens_identity
 
 SETTINGS = settings(settings.get_profile("volterra"), max_examples=50)
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 @st.composite
@@ -25,9 +29,24 @@ def cases(draw):
     j = draw(st.integers(min_value=1, max_value=3))
     M = draw(st.integers(min_value=1, max_value=4))
     L = draw(st.integers(min_value=M, max_value=12))
-    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    rng = np.random.default_rng(draw(SEEDS))
     constant = complex(*rng.standard_normal(2)) if draw(st.booleans()) else None
     return random_series(j, M, rng, constant=constant), L, rng
+
+
+@st.composite
+def pairs(draw):
+    """(A, B, L, rng) with orders <= 2, memories <= 3 and M_A + M_B - 1 <= L <= 12.
+
+    A has no constant term, so B after A is defined; B may have one.
+    """
+    M_A, M_B = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    L = draw(st.integers(min_value=M_A + M_B - 1, max_value=12))
+    rng = np.random.default_rng(draw(SEEDS))
+    A = random_series(draw(st.integers(1, 2)), M_A, rng)
+    constant = complex(*rng.standard_normal(2)) if draw(st.booleans()) else None
+    B = random_series(draw(st.integers(1, 2)), M_B, rng, constant=constant)
+    return A, B, L, rng
 
 
 @SETTINGS
@@ -74,3 +93,40 @@ def test_response_comb_is_eval_time_of_comb(case, data):
     series, L, _ = case
     T = data.draw(st.sampled_from([d for d in range(1, L + 1) if L % d == 0]))
     assert rel_err(response_comb(series, T, L), eval_time(series, comb_signal(L, T))) <= 1e-9
+
+
+@SETTINGS
+@given(cases(), st.data())
+def test_act_periodization_is_spectrum_of_eval_time_of_periodized_input(case, data):
+    series, L, rng = case
+    T = data.draw(st.sampled_from([d for d in range(1, L + 1) if L % d == 0]))
+    s = random_signal(L, rng)
+    periodized = np.fft.ifft(np.fft.fft(comb_signal(L, T)) * np.fft.fft(s))
+    got = act_periodization(series, np.fft.fft(s), T)
+    assert rel_err(got, np.fft.fft(eval_time(series, periodized))) <= 1e-9
+
+
+@SETTINGS
+@given(pairs())
+def test_sum_series_adds_outputs(pair):
+    A, B, L, rng = pair
+    s = random_signal(L, rng)
+    assert rel_err(eval_time(sum_series(A, B), s), eval_time(A, s) + eval_time(B, s)) <= 1e-9
+
+
+@SETTINGS
+@given(pairs())
+def test_product_series_multiplies_outputs(pair):
+    A, B, L, rng = pair
+    s = random_signal(L, rng)
+    got = eval_time(product_series(A, B, max_order=None), s)
+    assert rel_err(got, eval_time(A, s) * eval_time(B, s)) <= 1e-9
+
+
+@SETTINGS
+@given(pairs())
+def test_compose_series_feeds_outputs(pair):
+    A, B, L, rng = pair
+    s = random_signal(L, rng)
+    got = eval_time(compose_series(B, A, max_order=None), s)
+    assert rel_err(got, eval_time(B, eval_time(A, s))) <= 1e-9

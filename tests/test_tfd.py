@@ -235,6 +235,33 @@ def test_cohen_grid_mismatch(rng):
         cohen(two_tone(L), unit_parameter(L // 2))
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        wvd,
+        ambiguity,
+        analytic_signal,
+        lambda x: cohen(x, unit_parameter(x.size)),
+        lambda x: howvd(x, 3),
+        lambda x: pwvd(x, pwvd_lambdas(4)),
+        lambda x: pwvd_volterra_kernel(4, pwvd_lambdas(4), 0).contract(x),
+    ],
+    ids=["wvd", "ambiguity", "analytic_signal", "cohen", "howvd", "pwvd", "contract"],
+)
+@pytest.mark.parametrize("length", [1, 7])
+def test_half_lag_grids_need_even_length(grid, length):
+    with pytest.raises(GridError, match="even-length grid"):
+        grid(np.ones(length, dtype=complex))
+
+
+def test_length_one_signals_where_well_defined():
+    x = np.array([2.0 + 1.0j])
+    assert np.array_equal(stft(x, np.ones(1)), [[2.0 + 1.0j]])
+    assert np.array_equal(fractional_shift(x, 0.5), x)
+    h = cohen_volterra_kernel(unit_parameter(1), 0)
+    assert np.array_equal(eval_double_bilinear(h, x, x), h.data[0, 0] * x * x)
+
+
 # ------------------------------------------------- bilinear kernel route
 
 
@@ -246,6 +273,21 @@ def test_cohen_kernel_unit_is_antidiagonal():
     assert np.all((u + v) % L == 0)
     uu = 5
     assert abs(K.data[uu, (L - uu) % L] - np.exp(-4j * np.pi * f_bin * uu / L)) < 1e-12
+
+
+@pytest.mark.parametrize("Lk", [30, 32])
+def test_cohen_kernel_matches_per_lag_loop(Lk, rng):
+    """Bit for bit against the per-half-lag loop; at L = 32 the +-L/4 lags share cells."""
+    ms = unit_parameter(Lk).lags
+    shape = (Lk, ms.size)
+    phi = ParameterFunction(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), ms)
+    f_bin = 5
+    pi_cm = np.fft.ifft(phi.values, axis=0)
+    want = np.zeros((Lk, Lk), dtype=np.complex128)
+    c = np.arange(Lk)
+    for i, m in enumerate(ms):
+        want[(c + m) % Lk, (c - m) % Lk] += pi_cm[:, i] * np.exp(-2j * np.pi * f_bin * (2 * m) / Lk)
+    assert np.array_equal(cohen_volterra_kernel(phi, f_bin).data, want)
 
 
 def test_cohen_kernel_zero_frequency_indicator():
