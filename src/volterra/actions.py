@@ -57,9 +57,9 @@ def compose_multipliers(g: Multiplier, f: Multiplier) -> Multiplier:
 def apply_action(series: VolterraSeries, m: Multiplier, s_hat) -> np.ndarray:
     """V(m)(s_hat): weight every input slot of the projection-slice sum by gamma.
 
-    Equals eval_freq(series, gamma * s_hat); computed with the weight tensor
-    kept as its own factor rather than folded into the spectrum first, so
-    the identity multiplier is preserved bit for bit.
+    Equals eval_freq(series, gamma * s_hat), which is how it is computed:
+    the weights fold into the spectrum, and multiplying by 1 + 0j is exact,
+    so the identity multiplier is preserved bit for bit.
     """
     return eval_freq(series, s_hat, weights=m.weights)
 

@@ -1,17 +1,19 @@
 """Series evaluation in the time and frequency domains.
 
 ``oracle_eval`` is the literal nested-loop reference implementation; every
-other evaluator in the package is tested against it.  The frequency path
-uses the projection-slice form: the output spectrum at bin w collects
+other evaluator in the package is tested against it.  The paper's frequency
+path is the projection-slice sum: the output spectrum at bin w collects
 kernel-weighted input-spectrum products over all frequency vectors whose
-components sum to w mod L, scaled by 1 / L**(j-1).  That normalization is
-what makes the time and frequency paths agree exactly under the package's
-DFT convention.  Every frequency-domain evaluator of the package shares
-``_slice_sum``, and every delay-lattice contraction shares ``_contract``.
+components sum to w mod L, scaled by 1 / L**(j-1).  That normalization makes
+it the DFT of the time path on the inverse DFT of the input, which is how
+``eval_freq`` computes it.  ``_slice_sum`` keeps the dense sum for the lens
+components of ``morphisms``, whose integrands are no transform of the input;
+every delay-lattice contraction shares ``_contract``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -20,7 +22,7 @@ import numpy as np
 
 from .combinatorics import Multicombination
 from .errors import ContractViolation, GridError
-from .kernels import VolterraKernel, VolterraSeries, vfrf
+from .kernels import VolterraKernel, VolterraSeries
 
 __all__ = [
     "MultiInput",
@@ -114,14 +116,12 @@ def eval_time(series: VolterraSeries, s) -> np.ndarray:
     return y
 
 
+@functools.lru_cache(maxsize=16)
 def index_sum_grid(j: int, L: int) -> np.ndarray:
-    """Tensor over {0..L-1}^j holding the index sum mod L at each point."""
-    total = np.zeros((L,) * j, dtype=np.int64)
-    for axis in range(j):
-        shape = [1] * j
-        shape[axis] = L
-        total = total + np.arange(L).reshape(shape)
-    return total % L
+    """Tensor over {0..L-1}^j holding the index sum mod L; read-only, cached by (j, L)."""
+    total = functools.reduce(np.add.outer, [np.arange(L)] * j, np.zeros((), np.int64)) % L
+    total.setflags(write=False)
+    return total
 
 
 def project_diagonal(T: np.ndarray, L: int) -> np.ndarray:
@@ -147,42 +147,30 @@ def outer_power(v: np.ndarray, j: int) -> np.ndarray:
     return out.reshape((v.size,) * j)
 
 
-def _slice_sum(kernel: VolterraKernel, s_hat: np.ndarray, *factors) -> np.ndarray:
-    """project_diagonal(v_hat_j . s_hat^(x)j . factors) / L**(j-1), for order j >= 1.
-
-    Each factor is a tensor over {0..L-1}^j, multiplied in after the input power.
-    """
-    L, j = s_hat.size, kernel.order
-    T = vfrf(kernel, L) * outer_power(s_hat, j)
-    for factor in factors:
-        T = T * factor
-    return project_diagonal(T, L) / L ** (j - 1)
+def _slice_sum(integrand: np.ndarray, s_hat: np.ndarray) -> np.ndarray:
+    """project_diagonal(integrand . s_hat^(x)j) / L**(j-1), integrand over {0..L-1}^j, j >= 1."""
+    L, j = s_hat.size, integrand.ndim
+    return project_diagonal(integrand * outer_power(s_hat, j), L) / L ** (j - 1)
 
 
 def eval_freq(series: VolterraSeries, s_hat, weights=None) -> np.ndarray:
-    """Projection-slice evaluation of the output spectrum.
+    """Output spectrum of the projection-slice formula, computed as fft . eval_time . ifft.
 
     y_hat(w) = sum_j (1/L**(j-1)) * sum_{sum(Omega) = w mod L}
                v_hat_j(Omega) prod_q s_hat(omega_q),
-    plus v0 * L at bin 0 for the constant term.  ``weights``, if given, is a
-    spectral weight vector applied to every input slot (the action of a
-    multiplier on the series).
+    plus v0 * L at bin 0 for the constant term.  For memory M <= L that is
+    exactly the DFT of ``eval_time`` on ifft(s_hat); M > L raises
+    ``GridError``.  ``weights``, if given, is a spectral weight vector applied
+    to every input slot (the action of a multiplier on the series); since
+    w^(x)j . s_hat^(x)j = (w . s_hat)^(x)j, it is folded into the spectrum.
     """
     s_hat = _signal(s_hat)
-    L = s_hat.size
     if weights is not None:
         weights = _signal(weights)
-        if weights.size != L:
+        if weights.size != s_hat.size:
             raise ContractViolation("weight vector length must match the spectrum")
-    out = np.zeros(L, dtype=np.complex128)
-    for kernel in series.kernels.values():
-        j = kernel.order
-        if j == 0:
-            out[0] += complex(kernel.data) * L
-            continue
-        factors = () if weights is None else (outer_power(weights, j),)
-        out += _slice_sum(kernel, s_hat, *factors)
-    return out
+        s_hat = weights * s_hat
+    return np.fft.fft(eval_time(series, np.fft.ifft(s_hat)))
 
 
 @dataclass(frozen=True)

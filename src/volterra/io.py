@@ -39,8 +39,9 @@ def write_signal_csv(path, signal):
             fh.write(f"{float(z.real)!r},{float(z.imag)!r}\n")
 
 
-def _csv_rows(path, width=None) -> list:
-    """Float rows of a CSV file, blank lines skipped, all as wide as ``width`` or the first."""
+def _csv_rows(path, kind, width=None) -> list:
+    """Float rows of a non-empty ``kind`` CSV file, blank lines skipped, all as wide as
+    ``width`` or the first."""
     rows = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, 1):
@@ -55,13 +56,13 @@ def _csv_rows(path, width=None) -> list:
             if len(row) != width:
                 raise ContractViolation(f"{path}:{line_no}: expected {width} fields, got {line!r}")
             rows.append(row)
+    if not rows:
+        raise ContractViolation(f"{path}: empty {kind} file")
     return rows
 
 
 def read_signal_csv(path) -> np.ndarray:
-    rows = _csv_rows(path, 2)
-    if not rows:
-        raise ContractViolation(f"{path}: empty signal file")
+    rows = _csv_rows(path, "signal", 2)
     return np.asarray(rows).view(np.complex128)[:, 0]  # each (re, im) row is one complex128
 
 
@@ -80,7 +81,7 @@ def write_grid_csv(path, values):
 
 
 def read_grid_csv(path) -> np.ndarray:
-    return np.asarray(_csv_rows(path))
+    return np.asarray(_csv_rows(path, "grid"))
 
 
 def write_pgm(path, values):

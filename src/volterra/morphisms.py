@@ -164,6 +164,27 @@ def weighted_pullback(m: Morphism, i, target_frf) -> np.ndarray:
     return mask * pulled
 
 
+def _integrands(m: Morphism, V: VolterraSeries, W: VolterraSeries, L: int) -> list:
+    """mask_i . v_hat_i . w_hat(matrix_i @ Omega) per source index of order >= 1; signal-free."""
+    if m.length is not None and m.length != L:
+        raise ContractViolation(f"morphism masks built for length {m.length}, spectrum has {L}")
+    return [
+        vfrf(V.kernels[i], L) * weighted_pullback(m, i, vfrf(W.kernels[target], L))
+        for i, target in m.index_map.items()
+        if V.kernels[i].order >= 1
+    ]
+
+
+def _component(integrands: list, s_hat: np.ndarray, post=None) -> np.ndarray:
+    """Sum of the integrands' slice sums, each weighted by post^(x)j if given."""
+    out = np.zeros(s_hat.size, dtype=np.complex128)
+    for integrand in integrands:
+        if post is not None:
+            integrand = integrand * outer_power(post, integrand.ndim)
+        out += _slice_sum(integrand, s_hat)
+    return out
+
+
 def apply_component(
     m: Morphism,
     V: VolterraSeries,
@@ -177,25 +198,12 @@ def apply_component(
                (mask_i . v_hat_i . s_hat^(x)[i])(Omega) * w_hat(matrix_i @ Omega).
 
     ``post_weights``, if given, multiplies the assembled integrand by the
-    tensor power of a multiplier's weight vector as the outermost factor:
-    the target-side leg of the naturality square.
+    tensor power of a multiplier's weight vector: the target-side leg of
+    the naturality square.
     """
     s_hat = _signal(s_hat)
-    L = s_hat.size
-    if m.length is not None and m.length != L:
-        raise ContractViolation(f"morphism masks built for length {m.length}, spectrum has {L}")
     post = None if post_weights is None else _signal(post_weights)
-    out = np.zeros(L, dtype=np.complex128)
-    for i, target in m.index_map.items():
-        kernel = V.kernels[i]
-        j = kernel.order
-        if j == 0:
-            continue
-        factors = [weighted_pullback(m, i, vfrf(W.kernels[target], L))]
-        if post is not None:
-            factors.append(outer_power(post, j))
-        out += _slice_sum(kernel, s_hat, *factors)
-    return out
+    return _component(_integrands(m, V, W, s_hat.size), s_hat, post)
 
 
 def check_naturality(
@@ -217,12 +225,13 @@ def check_naturality(
     L = L if L is not None else m.length
     if L is None:
         raise ContractViolation("cannot infer grid length from an empty morphism")
+    integrands = _integrands(m, V, W, L)
     worst = 0.0
     for _ in range(trials):
         s_hat = rng.standard_normal(L) + 1j * rng.standard_normal(L)
         gamma = rng.standard_normal(L) + 1j * rng.standard_normal(L)
-        through_input = apply_component(m, V, W, gamma * s_hat)
-        through_target = apply_component(m, V, W, s_hat, post_weights=gamma)
+        through_input = _component(integrands, gamma * s_hat)
+        through_target = _component(integrands, s_hat, post=gamma)
         worst = max(worst, float(np.max(np.abs(through_input - through_target))))
     return worst
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from volterra.evaluation import (
     eval_freq,
     eval_multivariate,
     eval_time,
+    index_sum_grid,
     oracle_eval,
     response_comb,
     response_exponential,
@@ -220,3 +223,24 @@ def test_shift_matrix_is_read_only_delay_bank(L, M, rng):
 def test_shift_matrix_rejects_memory_beyond_length(rng):
     with pytest.raises(GridError):
         _shift_matrix(random_signal(3, rng), 4)
+
+
+def test_eval_freq_never_builds_the_dense_lattice(rng):
+    """At L=512, j=3 one dense {0..L-1}^3 complex tensor would take 2 GiB."""
+    L = 512
+    series = random_series(3, 16, rng)
+    s_hat = random_signal(L, rng)
+    tracemalloc.start()
+    try:
+        eval_freq(series, s_hat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+
+
+@pytest.mark.parametrize("j, L", [(1, 5), (2, 4), (3, 3)])
+def test_index_sum_grid_is_cached_read_only(j, L):
+    grid = index_sum_grid(j, L)
+    assert grid is index_sum_grid(j, L) and not grid.flags.writeable
+    assert np.array_equal(grid, np.indices((L,) * j).sum(axis=0) % L)

@@ -292,6 +292,26 @@ def test_read_grid_csv_rejects_malformed_rows(text, line, tmp_path):
         io.read_grid_csv(path)
 
 
+@pytest.mark.parametrize("reader", [io.read_grid_csv, io.read_signal_csv], ids=["grid", "signal"])
+def test_csv_readers_reject_empty_file(reader, tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("\n\n")
+    with pytest.raises(ContractViolation, match="empty.csv: empty (grid|signal) file"):
+        reader(path)
+
+
+def test_cli_empty_signal_csv_is_error(tmp_path, rng, capsys):
+    """No subcommand reads a grid file; ``eval`` reaches the same empty-file check."""
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    vk = write_series(tmp_path, "v.vk", random_series(1, 2, rng))
+    argv = ["eval", "--series", vk, "--signal", str(empty), "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "empty signal file" in captured.err
+
+
 def test_read_signal_csv_rejects_non_number(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0.5,0.0\n1.0,abc\n")

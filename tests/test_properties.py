@@ -1,23 +1,40 @@
 """Property tests of the evaluation core on random series, j <= 3, M <= 4, L <= 12.
 
-Every frequency-domain evaluator shares one projection-slice sum and every
-time-domain evaluator one delay-lattice contraction; these checks tie each
-path to an independent one: the nested-loop oracle, the DFT of the time
-path, and the time path on the transformed input.  The interconnection
-laws (sum, product, composition) are checked the same way on pairs of
-series with j <= 2, M <= 3 and composite memory M_A + M_B - 1 <= L.
+``eval_freq`` runs the time path on the inverse DFT of its input, and the
+lens components of ``morphisms`` the dense projection-slice sum; these
+checks tie each path to an independent one: the nested-loop oracle, the
+slice sum, the DFT of the time path, and the time path on the transformed
+input.  The interconnection laws (sum, product, composition) are checked
+the same way on pairs of series with j <= 2, M <= 3 and composite memory
+M_A + M_B - 1 <= L.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import max_abs, random_series, random_signal, rel_err
-from volterra.actions import act_modulation, act_periodization
+from volterra.actions import Multiplier, act_modulation, act_periodization, apply_action
 from volterra.algebra import compose_series, product_series, sum_series
-from volterra.evaluation import comb_signal, eval_freq, eval_time, oracle_eval, response_comb
-from volterra.kernels import VolterraSeries, delta_kernel
-from volterra.morphisms import apply_component, lens_identity
+from volterra.errors import ContractViolation, GridError
+from volterra.evaluation import (
+    _slice_sum,
+    comb_signal,
+    eval_freq,
+    eval_time,
+    oracle_eval,
+    outer_power,
+    response_comb,
+)
+from volterra.kernels import VolterraSeries, delta_kernel, vfrf
+from volterra.morphisms import (
+    CATALOG_KINDS,
+    apply_component,
+    catalog,
+    check_naturality,
+    lens_identity,
+)
 
 SETTINGS = settings(settings.get_profile("volterra"), max_examples=50)
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -130,3 +147,85 @@ def test_compose_series_feeds_outputs(pair):
     s = random_signal(L, rng)
     got = eval_time(compose_series(B, A, max_order=None), s)
     assert rel_err(got, eval_time(B, eval_time(A, s))) <= 1e-9
+
+
+def slice_sum_reference(series, s_hat, weights=None):
+    """The dense projection-slice sum, with the weight tensor as its own factor."""
+    L = s_hat.size
+    out = np.zeros(L, dtype=np.complex128)
+    for kernel in series.kernels.values():
+        if kernel.order == 0:
+            out[0] += complex(kernel.data) * L
+            continue
+        integrand = vfrf(kernel, L)
+        if weights is not None:
+            integrand = integrand * outer_power(weights, kernel.order)
+        out += _slice_sum(integrand, s_hat)
+    return out
+
+
+@st.composite
+def freq_cases(draw):
+    """(series, L, rng) with max order <= 3 and memory M <= L <= 12, often M == L."""
+    j = draw(st.integers(min_value=1, max_value=3))
+    L = draw(st.integers(min_value=1, max_value=12))
+    M = L if draw(st.booleans()) else draw(st.integers(min_value=1, max_value=L))
+    rng = np.random.default_rng(draw(SEEDS))
+    constant = complex(*rng.standard_normal(2)) if draw(st.booleans()) else None
+    return random_series(j, M, rng, constant=constant), L, rng
+
+
+@SETTINGS
+@given(freq_cases(), st.booleans())
+def test_eval_freq_matches_slice_sum(case, weighted):
+    series, L, rng = case
+    s_hat = random_signal(L, rng)
+    weights = random_signal(L, rng) if weighted else None
+    want = slice_sum_reference(series, s_hat, weights)
+    assert rel_err(eval_freq(series, s_hat, weights=weights), want) <= 1e-12
+    if weighted:
+        assert rel_err(apply_action(series, Multiplier(weights), s_hat), want) <= 1e-12
+
+
+@SETTINGS
+@given(
+    st.sampled_from(CATALOG_KINDS),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=4, max_value=12),
+    SEEDS,
+    st.integers(min_value=0, max_value=2),
+)
+def test_check_naturality_is_loop_of_apply_component_pairs(kind, j, M, L, seed, param):
+    rng = np.random.default_rng(seed)
+    V = random_series(j, M, rng)
+    params = {"translation": param, "sampling": param + 1, "smoothing": 0.7}.get(kind)
+    W, m = catalog(kind, V, L, params=params)
+    trials = 3
+    draws = np.random.default_rng(seed)
+    want = 0.0
+    for _ in range(trials):
+        s_hat = draws.standard_normal(L) + 1j * draws.standard_normal(L)
+        gamma = draws.standard_normal(L) + 1j * draws.standard_normal(L)
+        through_input = apply_component(m, V, W, gamma * s_hat)
+        through_target = apply_component(m, V, W, s_hat, post_weights=gamma)
+        want = max(want, max_abs(through_input - through_target))
+    assert abs(check_naturality(m, V, W, trials=trials, rng=seed) - want) <= 1e-12
+
+
+@SETTINGS
+@given(st.integers(min_value=2, max_value=6), st.data())
+def test_eval_freq_and_apply_action_reject_bad_grids(M, data):
+    L = data.draw(st.integers(min_value=1, max_value=M - 1))
+    rng = np.random.default_rng(data.draw(SEEDS))
+    series = random_series(data.draw(st.integers(1, 3)), M, rng)
+    s_hat = random_signal(L, rng)
+    with pytest.raises(GridError):
+        eval_freq(series, s_hat)
+    with pytest.raises(GridError):
+        apply_action(series, Multiplier(random_signal(L, rng)), s_hat)
+    short = random_signal(M, rng)  # fits the kernel memory, not the spectrum
+    with pytest.raises(ContractViolation, match="weight vector length"):
+        eval_freq(random_series(1, 1, rng), short, weights=s_hat)
+    with pytest.raises(ContractViolation, match="weight vector length"):
+        apply_action(random_series(1, 1, rng), Multiplier(s_hat), short)
