@@ -2,11 +2,11 @@
 
 The three interconnection products at the kernel level.  Sums add kernels
 level-wise; products tensor kernels over binary weak compositions of the
-order; series composition assembles, for every composite order j, the sum
-over block splits of the outer series' spectrum pulled back along the
-block-sum matrix times the inner series' block spectra, then inverse
-transforms.  Composition requires the inner constant term to be zero;
-callers fold constants into the outer series first.
+order; series composition assembles, for every composite order j, the
+nested delay sum over block splits of the outer kernel times the inner
+kernels delayed block by block: the time form of the spectral formula.
+Composition requires the inner constant term to be zero; callers fold
+constants into the outer series first.
 """
 
 from __future__ import annotations
@@ -28,10 +28,9 @@ from .kernels import (
     VolterraSeries,
     constant_kernel,
     symmetrize_plain,
-    vfrf,
     zero_pad,
 )
-from .morphisms import Morphism, lens_identity, pullback_gather
+from .morphisms import Morphism, lens_identity
 
 __all__ = [
     "SMatrix",
@@ -70,6 +69,11 @@ def coproduct(V: VolterraSeries, W: VolterraSeries, L: int):
     return _tagged_union(V, W), inclusion(0, V), inclusion(1, W)
 
 
+def _check_max_order(max_order: int | None) -> None:
+    if max_order is not None and max_order < 0:
+        raise ContractViolation(f"max_order must be >= 0 or None, got {max_order}")
+
+
 def product_series(
     A: VolterraSeries, B: VolterraSeries, max_order: int | None = DEFAULT_MAX_ORDER
 ) -> VolterraSeries:
@@ -80,6 +84,7 @@ def product_series(
     spectrum is the matching product of block spectra.  Orders above
     ``max_order`` are dropped with a TruncationWarning.
     """
+    _check_max_order(max_order)
     Ac, Bc = A.canonical(), B.canonical()
     full = Ac.max_order + Bc.max_order
     cap = full if max_order is None else max_order
@@ -142,20 +147,25 @@ def s_matrix(j: int, k: int, p: WeakComposition) -> SMatrix:
 
 @functools.lru_cache(maxsize=256)
 def _composition_terms(j: int, outer_orders: tuple, inner_orders: tuple) -> tuple:
-    """(k, parts, read-only S_p entries) for every term of composite order j.
+    """(k, parts) for every term of composite order j.
 
     One entry per composition p of j into k parts with k an outer order and
     every part an inner order, in the order ``compose_series`` sums them.
     """
-    terms = []
-    for k in outer_orders:
-        for comp in compositions(j, k):
-            if any(part not in inner_orders for part in comp.parts):
-                continue
-            entries = s_matrix(j, k, WeakComposition(comp.parts)).entries
-            entries.setflags(write=False)
-            terms.append((k, comp.parts, entries))
-    return tuple(terms)
+    return tuple(
+        (k, comp.parts)
+        for k in outer_orders
+        for comp in compositions(j, k)
+        if all(part in inner_orders for part in comp.parts)
+    )
+
+
+def _shift_bank(a: VolterraKernel, shifts: int, Lp: int) -> np.ndarray:
+    """bank[s] is a placed at offset s on every axis of {0..Lp-1}^order, s < shifts."""
+    bank = np.zeros((shifts,) + (Lp,) * a.order, dtype=np.complex128)
+    for s in range(shifts):
+        bank[(s,) + (slice(s, s + a.memory),) * a.order] = a.data
+    return bank
 
 
 def compose_series(
@@ -163,23 +173,24 @@ def compose_series(
 ) -> VolterraSeries:
     """Series composition: feed the output of A into B.
 
-    Composite order-j spectrum at internal length L' = M_A + M_B - 1:
+    Composite order-j kernel on the delay lattice {0..L'-1}^j, with
+    L' = M_A + M_B - 1 the composite support (nothing wraps):
 
-        sum_{k <= n_B} sum_{p in compositions(j, k)}
-            b_hat_k(S_p Omega_j) * prod_r a_hat_{p_r}(theta_r)
+        c_j(tau) = sum_{k <= n_B} sum_{p in compositions(j, k)}
+                   sum_sigma b_k(sigma) prod_r a_{p_r}(tau_r - sigma_r 1)
 
-    (weak compositions with zero parts vanish because A has no constant
-    term, which is required).  Kernels are assembled in the frequency
-    domain, inverse transformed, and symmetrized as the canonical form.
-    Orders above ``max_order`` are dropped with a TruncationWarning.
+    where tau_r is the r-th block of tau (weak compositions with zero parts
+    vanish because A has no constant term, which is required).  Each term
+    contracts b_k with one bank of shifted copies of a_{p_r} per block.  Its
+    DFT at L' is the spectral formula, with S_p the block-sum matrix:
 
-    The data-independent tables are cached, bounded and read-only: the
-    list of (k, p, S_p) terms per composite order, keyed by ``(j, orders
-    of B, orders of A)`` (256 entries); the flat gather index of each S_p,
-    keyed by its int64 bytes, shape and L' (``morphisms``, 128 entries);
-    and the orbit table that symmetrizes each order-j result, keyed by
-    ``(j, L')`` (``kernels``, 64 entries).
+        sum_k sum_p b_hat_k(S_p Omega_j) * prod_r a_hat_{p_r}(theta_r)
+
+    The result is symmetrized as the canonical form.  Orders above
+    ``max_order`` are dropped with a TruncationWarning.  The term list per
+    ``(j, orders of B, orders of A)`` is cached (256 entries).
     """
+    _check_max_order(max_order)
     if A.constant != 0:
         raise ContractViolation(
             "series composition requires the inner series to have zero constant term; "
@@ -190,30 +201,27 @@ def compose_series(
     Lp = max(Ac.memory + Bc.memory - 1, 1)
     full = n_A * n_B
     cap = full if max_order is None else max_order
-    a_frf = {
-        l: vfrf(Ac.kernel_of_order(l), Lp) for l in Ac.orders() if l >= 1
+    banks = {
+        l: _shift_bank(Ac.kernel_of_order(l), Bc.memory, Lp) for l in Ac.orders() if l >= 1
     }
-    b_frf = {
-        k: vfrf(Bc.kernel_of_order(k), Lp) for k in Bc.orders() if k >= 1
-    }
+    outer = {k: Bc.kernel_of_order(k) for k in Bc.orders() if k >= 1}
     kernels = {}
     if Bc.constant != 0:
         kernels[0] = constant_kernel(Bc.constant)
     for j in range(1, min(full, cap) + 1):
         acc = None
-        for k, parts, entries in _composition_terms(j, tuple(sorted(b_frf)), tuple(sorted(a_frf))):
-            term = pullback_gather(b_frf[k], entries, Lp)
-            outer = a_frf[parts[0]]
-            for part in parts[1:]:
-                outer = np.multiply.outer(outer, a_frf[part])
-            term *= outer
+        for k, parts in _composition_terms(j, tuple(sorted(outer)), tuple(sorted(banks))):
+            b = outer[k]
+            term = b.data
+            for part in parts:
+                term = np.tensordot(term, banks[part][: b.memory], axes=([0], [0]))
             if acc is None:
                 acc = term
             else:
                 acc += term
         if acc is None:
             continue
-        kernels[j] = symmetrize_plain(VolterraKernel(j, Lp, np.fft.ifftn(acc)))
+        kernels[j] = symmetrize_plain(VolterraKernel(j, Lp, acc))
     if full > cap:
         dropped = list(range(cap + 1, full + 1))
         warnings.warn(TruncationWarning("compose", dropped, cap), stacklevel=2)

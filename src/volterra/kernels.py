@@ -12,23 +12,19 @@ Conventions used everywhere in the package:
 Kernels are stored dense; the practical caps are order <= 4 and memory
 M <= 16 unless a caller knows better.
 
-Cached tables.  Series composition needs several integer tables that
-depend only on shapes, never on kernel data.  Each is built once, kept in a
+Cached tables.  Series composition needs integer tables that depend only
+on shapes, never on kernel data.  Each is built once, kept in a
 ``functools.lru_cache`` bounded by entry count, and is read-only (arrays
 have ``setflags(write=False)``, the rest are tuples):
 
 * here, the orbit table of the {0..M-1}^j delay lattice, keyed by
   ``(order, memory)``, at most 64 shapes; both symmetrizers read it;
-* in ``morphisms``, the flat gather index of a pullback, keyed by the
-  integer matrix's int64 bytes, its shape and the grid length L, at most
-  128 entries;
-* in ``algebra``, the block-sum matrices of every composition of a
-  composite order, keyed by ``(j, outer orders, inner orders)``, and the
-  association label multisets, keyed by ``(j, n_C, n_B, n_A,
-  association)``, at most 256 entries each.
+* in ``algebra``, the (outer order, parts) terms of every composite
+  order, keyed by ``(j, outer orders, inner orders)``, and the association
+  label multisets, keyed by ``(j, n_C, n_B, n_A, association)``, at most
+  256 entries each.
 
-An orbit table holds 8 M^j bytes and a gather index 8 L^j, half of one
-complex kernel of that shape each.
+An orbit table holds 8 M^j bytes, half of one complex kernel of that shape.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ lens data; morphisms are defined on the indices of order >= 1.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,20 +115,13 @@ def validate_morphism(m: Morphism, V: VolterraSeries, W: VolterraSeries) -> Vali
     return ValidationReport(tuple(problems))
 
 
-@functools.lru_cache(maxsize=128)
-def _flat_index(matrix_bytes: bytes, shape: tuple, L: int) -> np.ndarray:
-    """Flat target index of matrix @ Omega mod L at every source point Omega.
-
-    Read-only and cached by the matrix's int64 bytes, its shape and L; it
-    never depends on the data gathered through it.
-    """
-    matrix = np.frombuffer(matrix_bytes, dtype=np.int64).reshape(shape)
-    omega = np.indices((L,) * shape[1], sparse=True)
-    flat = np.zeros((L,) * shape[1], dtype=np.int64)
+def _flat_index(matrix: np.ndarray, L: int) -> np.ndarray:
+    """Flat target index of matrix @ Omega mod L at every source point Omega."""
+    omega = np.indices((L,) * matrix.shape[1], sparse=True)
+    flat = np.zeros((L,) * matrix.shape[1], dtype=np.int64)
     for row in matrix:
         flat *= L
         flat += sum((int(c) * w for c, w in zip(row, omega) if c), 0) % L
-    flat.setflags(write=False)
     return flat
 
 
@@ -148,8 +140,7 @@ def pullback_gather(target_data: np.ndarray, matrix: np.ndarray, L: int) -> np.n
         raise ContractViolation(
             f"target tensor has shape {target_data.shape}, expected {(L,) * tgt_order}"
         )
-    matrix = np.ascontiguousarray(matrix, dtype=np.int64)
-    return target_data.ravel()[_flat_index(matrix.tobytes(), matrix.shape, int(L))]
+    return target_data.ravel()[_flat_index(np.asarray(matrix, dtype=np.int64), int(L))]
 
 
 def weighted_pullback(m: Morphism, i, target_frf) -> np.ndarray:
@@ -218,9 +209,12 @@ def check_naturality(
 
     For random multipliers f and signals s, compares the component applied
     after the input-side action of f against the target-side weighting of
-    the assembled component integrand.  Mask-and-pullback components make
-    the square commute to rounding; convolution-type components do not.
+    the assembled component integrand.  For mask-and-pullback components
+    both legs are the same integrand product in a different order, so the
+    residual measures rounding.  ``trials`` must be at least 1.
     """
+    if trials < 1:
+        raise ContractViolation(f"naturality check needs trials >= 1, got {trials}")
     rng = np.random.default_rng(rng)
     L = L if L is not None else m.length
     if L is None:

@@ -177,6 +177,23 @@ def test_compose_truncation_warning(rng):
     assert rec[0].message.dropped_orders == (5, 6)
 
 
+@pytest.mark.parametrize("op", [compose_series, product_series])
+@pytest.mark.parametrize("max_order", [-1, -3])
+def test_negative_max_order_is_rejected(op, max_order, rng):
+    A, B = random_series(2, 2, rng), random_series(2, 2, rng)
+    with pytest.raises(ContractViolation, match="max_order"):
+        op(B, A, max_order=max_order)
+
+
+def test_max_order_zero_keeps_the_constant(rng):
+    A = random_series(2, 2, rng)
+    B = random_series(2, 2, rng, constant=0.5)
+    with pytest.warns(TruncationWarning) as rec:
+        C = compose_series(B, A, max_order=0)
+    assert C.orders() == (0,) and C.constant == 0.5
+    assert rec[0].message.dropped_orders == (1, 2, 3, 4)
+
+
 def test_composition_labels_match_small_cases():
     for j in range(1, 9):
         for orders in [(2, 2, 2), (1, 2, 2), (2, 1, 2), (3, 2, 1)]:

@@ -114,6 +114,18 @@ def test_cli_compose_unbound_name_is_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_cli_compose_negative_max_order_is_error(tmp_path, rng, capsys):
+    a = write_series(tmp_path, "a.vk", random_series(2, 2, rng))
+    out = tmp_path / "o.vk"
+    code = main(
+        ["compose", "--expr", "A <| A", "--bind", f"A={a}", "--out", str(out), "--max-order", "-2"]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: ") and "max_order" in captured.err
+
+
 def test_cli_morph_check_naturality(tmp_path, rng, capsys):
     V = random_series(2, 3, rng)
     W, m = catalog("autoconvolution", V, 12)
@@ -131,6 +143,27 @@ def test_cli_morph_check_naturality(tmp_path, rng, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert payload["max_residual"] <= 1e-9
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_cli_morph_check_naturality_needs_a_trial(trials, tmp_path, rng, capsys):
+    V = random_series(2, 3, rng)
+    W, m = catalog("autoconvolution", V, 12)
+    vk = write_series(tmp_path, "v.vk", V)
+    wk = write_series(tmp_path, "w.vk", W)
+    mfile = tmp_path / "m.vm"
+    io.save_morphism(mfile, m)
+    code = main(
+        [
+            "morph", "--check-naturality",
+            "--morphism", str(mfile), "--source", vk, "--target", wk,
+            "--trials", trials,
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "trials" in captured.err
 
 
 def test_cli_morph_apply(tmp_path, rng, capsys):

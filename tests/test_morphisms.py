@@ -132,6 +132,14 @@ def test_naturality_all_catalog_kinds(rng):
         assert check_naturality(m, V, W, trials=20, rng=3) <= 1e-9, kind
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_check_naturality_rejects_fewer_than_one_trial(trials, rng):
+    V = random_series(2, 3, rng)
+    W, m = catalog("identity", V, L)
+    with pytest.raises(ContractViolation, match="trials"):
+        check_naturality(m, V, W, trials=trials, rng=1)
+
+
 def test_convolution_type_component_breaks_naturality(rng):
     # A component that shifts the output spectrum is convolution-type in the
     # spectral domain; the naturality square fails for it, unlike the

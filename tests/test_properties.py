@@ -6,7 +6,9 @@ checks tie each path to an independent one: the nested-loop oracle, the
 slice sum, the DFT of the time path, and the time path on the transformed
 input.  The interconnection laws (sum, product, composition) are checked
 the same way on pairs of series with j <= 2, M <= 3 and composite memory
-M_A + M_B - 1 <= L.
+M_A + M_B - 1 <= L.  The time-domain composite kernels are checked against
+the paper's spectral formula on series whose orders have their own
+memories, with orders missing and a constant in the outer series.
 """
 
 import numpy as np
@@ -14,9 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import max_abs, random_series, random_signal, rel_err
+from conftest import max_abs, random_kernel, random_series, random_signal, rel_err
 from volterra.actions import Multiplier, act_modulation, act_periodization, apply_action
-from volterra.algebra import compose_series, product_series, sum_series
+from volterra.algebra import compose_series, product_series, s_matrix, sum_series
+from volterra.combinatorics import WeakComposition, compositions
 from volterra.errors import ContractViolation, GridError
 from volterra.evaluation import (
     _slice_sum,
@@ -27,13 +30,21 @@ from volterra.evaluation import (
     outer_power,
     response_comb,
 )
-from volterra.kernels import VolterraSeries, delta_kernel, vfrf
+from volterra.kernels import (
+    VolterraKernel,
+    VolterraSeries,
+    constant_kernel,
+    delta_kernel,
+    symmetrize_plain,
+    vfrf,
+)
 from volterra.morphisms import (
     CATALOG_KINDS,
     apply_component,
     catalog,
     check_naturality,
     lens_identity,
+    pullback_gather,
 )
 
 SETTINGS = settings(settings.get_profile("volterra"), max_examples=50)
@@ -147,6 +158,65 @@ def test_compose_series_feeds_outputs(pair):
     s = random_signal(L, rng)
     got = eval_time(compose_series(B, A, max_order=None), s)
     assert rel_err(got, eval_time(B, eval_time(A, s))) <= 1e-9
+
+
+@st.composite
+def mixed_pairs(draw):
+    """(A, B): each present order has its own memory <= 3, orders may be missing.
+
+    A's orders lie in {1, 2, 3} and B's keep the composite order <= 6; B may
+    carry a constant.
+    """
+    rng = np.random.default_rng(draw(SEEDS))
+
+    def series(max_order, constant):
+        orders = draw(st.sets(st.integers(1, max_order), min_size=1))
+        kernels = {j: random_kernel(j, draw(st.integers(1, 3)), rng) for j in sorted(orders)}
+        if constant:
+            kernels[0] = constant_kernel(complex(*rng.standard_normal(2)))
+        return VolterraSeries(kernels)
+
+    A = series(3, False)
+    B = series(min(3, 6 // A.max_order), draw(st.booleans()))
+    return A, B
+
+
+def spectral_composition(B, A):
+    """Order-j kernels of B after A from the spectral formula at L' = M_A + M_B - 1:
+
+    ifftn(sum_k sum_p b_hat_k(S_p Omega) prod_r a_hat_{p_r}(theta_r)), symmetrized.
+    """
+    Lp = A.memory + B.memory - 1
+    a_hat = {l: vfrf(A.kernel_of_order(l), Lp) for l in A.orders() if l >= 1}
+    b_hat = {k: vfrf(B.kernel_of_order(k), Lp) for k in B.orders() if k >= 1}
+    out = {}
+    for j in range(1, A.max_order * B.max_order + 1):
+        acc = None
+        for k, b in b_hat.items():
+            for p in compositions(j, k):
+                if any(part not in a_hat for part in p.parts):
+                    continue
+                inner = a_hat[p.parts[0]]
+                for part in p.parts[1:]:
+                    inner = np.multiply.outer(inner, a_hat[part])
+                entries = s_matrix(j, k, WeakComposition(p.parts)).entries
+                term = pullback_gather(b, entries, Lp) * inner
+                acc = term if acc is None else acc + term
+        if acc is not None:
+            out[j] = symmetrize_plain(VolterraKernel(j, Lp, np.fft.ifftn(acc))).data
+    return out
+
+
+@SETTINGS
+@given(mixed_pairs())
+def test_compose_series_matches_spectral_formula(pair):
+    A, B = pair
+    got = compose_series(B, A, max_order=None)
+    want = spectral_composition(B, A)
+    assert got.constant == B.constant
+    assert set(got.orders()) - {0} == set(want)
+    for j, data in want.items():
+        assert rel_err(got.kernel_of_order(j).data, data) <= 1e-12
 
 
 def slice_sum_reference(series, s_hat, weights=None):
