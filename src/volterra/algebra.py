@@ -1,12 +1,13 @@
 """Sum, product and series composition of Volterra series.
 
 The three interconnection products at the kernel level.  Sums add kernels
-level-wise; products tensor kernels over binary weak compositions of the
-order; series composition assembles, for every composite order j, the
-nested delay sum over block splits of the outer kernel times the inner
-kernels delayed block by block: the time form of the spectral formula.
-Composition requires the inner constant term to be zero; callers fold
-constants into the outer series first.
+level-wise.  Products and series composition share one assembly loop: each
+groups its terms by composite order j (a pair of factor orders; a multiset
+of inner orders under one outer kernel), and only the orders within the cap
+are built.  A composition term is the delay sum of the outer kernel times
+the inner kernels delayed block by block: the time form of the spectral
+formula.  Composition requires the inner constant term to be zero; callers
+fold constants into the outer series first.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combinatorics import WeakComposition, compositions, weak_compositions
+from .combinatorics import WeakComposition, compositions, multinomial
 from .errors import ContractViolation, TruncationWarning
 from .evaluation import eval_time
 from .kernels import (
@@ -69,9 +70,23 @@ def coproduct(V: VolterraSeries, W: VolterraSeries, L: int):
     return _tagged_union(V, W), inclusion(0, V), inclusion(1, W)
 
 
-def _check_max_order(max_order: int | None) -> None:
+def _assemble(operation: str, max_order: int | None, groups: dict, term, memory: int) -> VolterraSeries:
+    """Sum each order's terms into one kernel on {0..memory-1}^j.
+
+    ``groups`` maps every order some term reaches to its terms, in summation
+    order; ``term`` turns one of them into an array.  Orders above
+    ``max_order`` are never built: one TruncationWarning lists exactly them.
+    """
     if max_order is not None and max_order < 0:
         raise ContractViolation(f"max_order must be >= 0 or None, got {max_order}")
+    dropped = sorted(j for j in groups if max_order is not None and j > max_order)
+    if dropped:
+        warnings.warn(TruncationWarning(operation, dropped, max_order), stacklevel=3)
+    kernels = {}
+    for j in sorted(set(groups) - set(dropped)):
+        acc = functools.reduce(np.add, map(term, groups[j]))
+        kernels[j] = constant_kernel(acc) if j == 0 else VolterraKernel(j, memory, acc)
+    return VolterraSeries(kernels)
 
 
 def product_series(
@@ -79,45 +94,24 @@ def product_series(
 ) -> VolterraSeries:
     """Pointwise product of outputs, as one series.
 
-    The order-j kernel is the sum over binary weak compositions j = k1 + k2
-    of the tensor products a_k1 (x) b_k2 arranged on the block split; its
-    spectrum is the matching product of block spectra.  Orders above
-    ``max_order`` are dropped with a TruncationWarning.
+    The order-j kernel is the sum over the order pairs k1 + k2 = j present
+    in A and B (ascending k1) of the tensor products a_k1 (x) b_k2 arranged
+    on the block split; its spectrum is the matching product of block
+    spectra.  Orders above ``max_order`` are dropped with a
+    TruncationWarning.
     """
-    _check_max_order(max_order)
     Ac, Bc = A.canonical(), B.canonical()
-    full = Ac.max_order + Bc.max_order
-    cap = full if max_order is None else max_order
     M = max(Ac.memory, Bc.memory)
-    kernels = {}
-    for j in range(0, min(full, cap) + 1):
-        acc = None
-        for p in weak_compositions(j, 2):
-            k1, k2 = p.parts
-            a = Ac.kernel_of_order(k1)
-            b = Bc.kernel_of_order(k2)
-            if a is None or b is None:
-                continue
-            a = zero_pad(a, M) if k1 else a
-            b = zero_pad(b, M) if k2 else b
-            term = np.multiply.outer(a.data, b.data)
-            acc = term if acc is None else acc + term
-        if acc is None:
-            continue
-        kernels[j] = constant_kernel(acc) if j == 0 else VolterraKernel(j, M, acc)
-    if full > cap:
-        dropped = [
-            j
-            for j in range(cap + 1, full + 1)
-            if any(
-                Ac.kernel_of_order(p.parts[0]) is not None
-                and Bc.kernel_of_order(p.parts[1]) is not None
-                for p in weak_compositions(j, 2)
-            )
-        ]
-        if dropped:
-            warnings.warn(TruncationWarning("product", dropped, cap), stacklevel=2)
-    return VolterraSeries(kernels)
+    groups: dict = {}
+    for k1 in Ac.orders():
+        for k2 in Bc.orders():
+            groups.setdefault(k1 + k2, []).append((Ac.kernel_of_order(k1), Bc.kernel_of_order(k2)))
+
+    def term(pair):
+        a, b = (zero_pad(k, M) for k in pair)
+        return np.multiply.outer(a.data, b.data)
+
+    return _assemble("product", max_order, groups, term, M)
 
 
 @dataclass(frozen=True)
@@ -145,21 +139,6 @@ def s_matrix(j: int, k: int, p: WeakComposition) -> SMatrix:
     return SMatrix(j, k, p, entries)
 
 
-@functools.lru_cache(maxsize=256)
-def _composition_terms(j: int, outer_orders: tuple, inner_orders: tuple) -> tuple:
-    """(k, parts) for every term of composite order j.
-
-    One entry per composition p of j into k parts with k an outer order and
-    every part an inner order, in the order ``compose_series`` sums them.
-    """
-    return tuple(
-        (k, comp.parts)
-        for k in outer_orders
-        for comp in compositions(j, k)
-        if all(part in inner_orders for part in comp.parts)
-    )
-
-
 def _shift_bank(a: VolterraKernel, shifts: int, Lp: int) -> np.ndarray:
     """bank[s] is a placed at offset s on every axis of {0..Lp-1}^order, s < shifts."""
     bank = np.zeros((shifts,) + (Lp,) * a.order, dtype=np.complex128)
@@ -176,56 +155,48 @@ def compose_series(
     Composite order-j kernel on the delay lattice {0..L'-1}^j, with
     L' = M_A + M_B - 1 the composite support (nothing wraps):
 
-        c_j(tau) = sum_{k <= n_B} sum_{p in compositions(j, k)}
-                   sum_sigma b_k(sigma) prod_r a_{p_r}(tau_r - sigma_r 1)
+        c_j(tau) = Sym sum_{k <= n_B} sum_P n(P)
+                   sum_sigma b~_k(sigma) prod_r a_{P_r}(tau_r - sigma_r 1)
 
-    where tau_r is the r-th block of tau (weak compositions with zero parts
-    vanish because A has no constant term, which is required).  Each term
-    contracts b_k with one bank of shifted copies of a_{p_r} per block.  Its
-    DFT at L' is the spectral formula, with S_p the block-sum matrix:
+    P runs over the multisets of k inner orders (all >= 1: A must have no
+    constant term) adding up to j, as sorted parts P_r; n(P) counts their
+    distinct orderings, tau_r is the r-th block of tau and b~_k is b_k
+    symmetrized.  The ordered compositions of j give n(P) terms per multiset
+    that differ by a permutation of b's axes, void once b~_k is symmetric,
+    and of tau's blocks, which Sym (the canonical form) removes.  Each term
+    contracts n(P) b~_k with one bank of shifted copies of a_{P_r} per
+    block.  Its DFT at L' is the spectral formula, S_p the block-sum matrix:
 
         sum_k sum_p b_hat_k(S_p Omega_j) * prod_r a_hat_{p_r}(theta_r)
 
-    The result is symmetrized as the canonical form.  Orders above
-    ``max_order`` are dropped with a TruncationWarning.  The term list per
-    ``(j, orders of B, orders of A)`` is cached (256 entries).
+    Orders above ``max_order`` are dropped with a TruncationWarning that
+    lists those some multiset reaches.  No term table is cached.
     """
-    _check_max_order(max_order)
     if A.constant != 0:
         raise ContractViolation(
             "series composition requires the inner series to have zero constant term; "
             "fold the constant into the outer series first"
         )
     Ac, Bc = A.canonical(), B.canonical()
-    n_A, n_B = Ac.max_order, Bc.max_order
-    Lp = max(Ac.memory + Bc.memory - 1, 1)
-    full = n_A * n_B
-    cap = full if max_order is None else max_order
-    banks = {
-        l: _shift_bank(Ac.kernel_of_order(l), Bc.memory, Lp) for l in Ac.orders() if l >= 1
-    }
-    outer = {k: Bc.kernel_of_order(k) for k in Bc.orders() if k >= 1}
-    kernels = {}
-    if Bc.constant != 0:
-        kernels[0] = constant_kernel(Bc.constant)
-    for j in range(1, min(full, cap) + 1):
-        acc = None
-        for k, parts in _composition_terms(j, tuple(sorted(outer)), tuple(sorted(banks))):
-            b = outer[k]
-            term = b.data
-            for part in parts:
-                term = np.tensordot(term, banks[part][: b.memory], axes=([0], [0]))
-            if acc is None:
-                acc = term
-            else:
-                acc += term
-        if acc is None:
-            continue
-        kernels[j] = symmetrize_plain(VolterraKernel(j, Lp, acc))
-    if full > cap:
-        dropped = list(range(cap + 1, full + 1))
-        warnings.warn(TruncationWarning("compose", dropped, cap), stacklevel=2)
-    return VolterraSeries(kernels)
+    M_B = Bc.memory
+    Lp = max(Ac.memory + M_B - 1, 1)
+    banks = {l: _shift_bank(a, M_B, Lp) for l, a in Ac.kernels.items() if l >= 1}
+    groups: dict = {}
+    for k, b in Bc.kernels.items():
+        if k > 0 or Bc.constant != 0:
+            # one inner order: every multiset has equal parts and Sym alone suffices
+            b = symmetrize_plain(b) if len(banks) > 1 else b
+            for parts in itertools.combinations_with_replacement(banks, k):
+                groups.setdefault(sum(parts), []).append((b, parts))
+
+    def term(multiset):
+        b, parts = multiset
+        data = multinomial(b.order, [parts.count(p) for p in set(parts)]) * b.data
+        for part in parts:
+            data = np.tensordot(data, banks[part][: b.memory], axes=([0], [0]))
+        return data
+
+    return _assemble("compose", max_order, groups, term, Lp).map_kernels(symmetrize_plain)
 
 
 @functools.lru_cache(maxsize=256)

@@ -12,17 +12,15 @@ Conventions used everywhere in the package:
 Kernels are stored dense; the practical caps are order <= 4 and memory
 M <= 16 unless a caller knows better.
 
-Cached tables.  Series composition needs integer tables that depend only
+Cached tables.  The composition path needs integer tables that depend only
 on shapes, never on kernel data.  Each is built once, kept in a
 ``functools.lru_cache`` bounded by entry count, and is read-only (arrays
 have ``setflags(write=False)``, the rest are tuples):
 
 * here, the orbit table of the {0..M-1}^j delay lattice, keyed by
   ``(order, memory)``, at most 64 shapes; both symmetrizers read it;
-* in ``algebra``, the (outer order, parts) terms of every composite
-  order, keyed by ``(j, outer orders, inner orders)``, and the association
-  label multisets, keyed by ``(j, n_C, n_B, n_A, association)``, at most
-  256 entries each.
+* in ``algebra``, the association label multisets, keyed by
+  ``(j, n_C, n_B, n_A, association)``, at most 256 entries.
 
 An orbit table holds 8 M^j bytes, half of one complex kernel of that shape.
 """
@@ -100,13 +98,18 @@ class VolterraKernel:
 
 
 def kernel_from_array(data, memory=None) -> VolterraKernel:
-    """Wrap an ndarray as a kernel; order and memory are read off the shape."""
+    """Wrap an ndarray as a kernel; order and memory are read off the shape.
+
+    A given ``memory`` must match the shape (order 0 has none to match).
+    """
     data = _as_complex(data)
     if data.ndim == 0:
         return VolterraKernel(0, memory or 1, data)
     sizes = set(data.shape)
     if len(sizes) != 1:
         raise ContractViolation(f"kernel tensor must be hypercubic, got shape {data.shape}")
+    if memory is not None and memory != data.shape[0]:
+        raise ContractViolation(f"memory {memory} contradicts kernel shape {data.shape}")
     return VolterraKernel(data.ndim, data.shape[0], data)
 
 
@@ -127,11 +130,14 @@ def constant_kernel(value) -> VolterraKernel:
 
 
 def zero_pad(kernel: VolterraKernel, memory: int) -> VolterraKernel:
-    """Embed the kernel into a larger delay lattice, padding with zeros."""
+    """Embed the kernel into a larger delay lattice, padding with zeros.
+
+    Kernels are immutable: an unchanged memory or order 0 returns the kernel.
+    """
     if memory < kernel.memory:
         raise ContractViolation(f"cannot shrink memory {kernel.memory} -> {memory}")
     if memory == kernel.memory or kernel.order == 0:
-        return VolterraKernel(kernel.order, memory, kernel.data)
+        return kernel
     data = np.zeros((memory,) * kernel.order, dtype=np.complex128)
     data[tuple(slice(0, kernel.memory) for _ in range(kernel.order))] = kernel.data
     return VolterraKernel(kernel.order, memory, data)

@@ -278,8 +278,10 @@ class ParameterFunction:
 
     @property
     def origin_value(self) -> complex:
-        zero = int(np.where(self.lags == 0)[0][0])
-        return complex(self.values[0, zero])
+        zero = np.flatnonzero(self.lags == 0)
+        if zero.size == 0:
+            raise ContractViolation(f"no zero half-lag among {self.lags.tolist()}")
+        return complex(self.values[0, zero[0]])
 
 
 def unit_parameter(L: int) -> ParameterFunction:

@@ -177,6 +177,38 @@ def test_compose_truncation_warning(rng):
     assert rec[0].message.dropped_orders == (5, 6)
 
 
+def order_two_series(rng, zero_constant=False):
+    kernels = {2: random_series(2, 2, rng).kernels[2]}
+    if zero_constant:
+        kernels[0] = constant_kernel(0.0)
+    return VolterraSeries(kernels)
+
+
+@pytest.mark.parametrize("zero_constant", [False, True], ids=["plain", "zero-constant"])
+def test_compose_truncation_reports_only_reachable_orders(zero_constant, rng):
+    # parts of order 2 reach order 4 only; order 3 has no term to drop, and an
+    # explicit zero order-0 kernel in A is never a part
+    A, B = order_two_series(rng, zero_constant), order_two_series(rng)
+    with pytest.warns(TruncationWarning) as rec:
+        C = compose_series(B, A, max_order=2)
+    assert C.orders() == ()
+    assert [w.message.dropped_orders for w in rec] == [(4,)]
+
+
+def test_compose_ignores_an_explicit_zero_inner_constant(rng):
+    A, B = order_two_series(rng), random_series(3, 2, rng, constant=0.5)
+    A0 = VolterraSeries({**A.kernels, 0: constant_kernel(0.0)})
+    with pytest.warns(TruncationWarning) as rec:
+        want = compose_series(B, A, max_order=4)
+    with pytest.warns(TruncationWarning) as rec0:
+        got = compose_series(B, A0, max_order=4)
+    assert got.orders() == want.orders() == (0, 2, 4)
+    assert [w.message.dropped_orders for w in rec0] == [w.message.dropped_orders for w in rec]
+    assert rec0[0].message.dropped_orders == (6,)
+    for j in want.orders():
+        assert np.array_equal(got.kernel_of_order(j).data, want.kernel_of_order(j).data)
+
+
 @pytest.mark.parametrize("op", [compose_series, product_series])
 @pytest.mark.parametrize("max_order", [-1, -3])
 def test_negative_max_order_is_rejected(op, max_order, rng):

@@ -1,9 +1,9 @@
 """Property tests for the cached, read-only tables of the composition path.
 
-The orbit table (symmetrizers) and the composition term and label tables
-are built once per integer shape; these checks compare every cached path
-with its definition on random shapes and data, and check that no cached
-table can be written.  The uncached pullback gather is checked against a
+The orbit table (symmetrizers) and the association label multisets are
+built once per integer shape; these checks compare every cached path with
+its definition on random shapes and data, and check that no cached table
+can be written.  The uncached pullback gather is checked against a
 pointwise loop.
 """
 

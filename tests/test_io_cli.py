@@ -8,7 +8,7 @@ from volterra import io
 from volterra.errors import ContractViolation
 from volterra.cli import main
 from volterra.evaluation import eval_time
-from volterra.kernels import zero_pad
+from volterra.kernels import VolterraSeries, zero_pad
 from volterra.morphisms import catalog
 from volterra.tfd import PolynomialPhase, chirp
 
@@ -106,6 +106,19 @@ def test_cli_compose_associativity_triple(tmp_path, rng, capsys):
         ld = zero_pad(lk, M).data if lk else 0
         rd = zero_pad(rk, M).data if rk else 0
         assert max_abs(ld - rd) <= 1e-8
+
+
+def test_cli_compose_reports_only_reachable_dropped_orders(tmp_path, rng, capsys):
+    A = VolterraSeries({2: random_series(2, 2, rng).kernels[2]})
+    a = write_series(tmp_path, "a.vk", A)
+    out = tmp_path / "o.vk"
+    code = main(
+        ["compose", "--expr", "A <| A", "--bind", f"A={a}", "--out", str(out), "--max-order", "2"]
+    )
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["orders"] == []
+    assert payload["truncations"] == [{"operation": "compose", "dropped_orders": [4], "cap": 2}]
 
 
 def test_cli_compose_unbound_name_is_usage_error(tmp_path, capsys):

@@ -184,3 +184,21 @@ def test_symmetrized_series_evaluates_identically(rng):
     s = random_signal(12, rng)
     sym = series.map_kernels(symmetrize_plain)
     assert rel_err(eval_time(sym, s), eval_time(series, s)) < 1e-10
+
+
+def test_zero_pad_returns_the_kernel_itself_when_nothing_changes(rng):
+    kernel = random_kernel(2, 3, rng)
+    assert zero_pad(kernel, kernel.memory) is kernel
+    constant = kernel_from_array(np.asarray(1.5 - 2j))
+    assert zero_pad(constant, 4) is constant
+    padded = zero_pad(kernel, 5)
+    assert padded.memory == 5 and np.array_equal(padded.data[:3, :3], kernel.data)
+
+
+def test_kernel_from_array_checks_a_given_memory():
+    assert kernel_from_array(np.ones(3), memory=3).memory == 3
+    with pytest.raises(ContractViolation, match="memory 5"):
+        kernel_from_array(np.ones(3), memory=5)
+    with pytest.raises(ContractViolation, match="memory 2"):
+        kernel_from_array(np.ones((3, 3)), memory=2)
+    assert kernel_from_array(np.asarray(2.0), memory=5).memory == 5  # order 0 unchanged

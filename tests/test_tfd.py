@@ -675,3 +675,9 @@ def test_grid_peak_memory_at_1024():
     assert traced_peak_mib(stft, x, h) <= 16.3 * 1.05
     # the (L, L/2 + 1) lag products, the folded grid and block temporaries
     assert traced_peak_mib(quiet, pwvd, x, pwvd_lambdas(6, 0.62)) <= 24.1 * 1.05
+
+
+def test_parameter_function_origin_value_needs_a_zero_half_lag():
+    assert ParameterFunction(np.full((8, 2), 3.0), [0, 1]).origin_value == 3.0
+    with pytest.raises(ContractViolation, match="zero half-lag"):
+        ParameterFunction(np.ones((8, 2)), [1, 2]).origin_value
