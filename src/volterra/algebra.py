@@ -22,7 +22,7 @@ import numpy as np
 
 from .combinatorics import WeakComposition, compositions, multinomial
 from .errors import ContractViolation, TruncationWarning
-from .evaluation import eval_time
+from .evaluation import _contract_leading, eval_time
 from .kernels import (
     DEFAULT_MAX_ORDER,
     VolterraKernel,
@@ -85,7 +85,7 @@ def _assemble(operation: str, max_order: int | None, groups: dict, term, memory:
     kernels = {}
     for j in sorted(set(groups) - set(dropped)):
         acc = functools.reduce(np.add, map(term, groups[j]))
-        kernels[j] = constant_kernel(acc) if j == 0 else VolterraKernel(j, memory, acc)
+        kernels[j] = constant_kernel(acc) if j == 0 else VolterraKernel._fresh(j, memory, acc)
     return VolterraSeries(kernels)
 
 
@@ -103,9 +103,9 @@ def product_series(
     Ac, Bc = A.canonical(), B.canonical()
     M = max(Ac.memory, Bc.memory)
     groups: dict = {}
-    for k1 in Ac.orders():
-        for k2 in Bc.orders():
-            groups.setdefault(k1 + k2, []).append((Ac.kernel_of_order(k1), Bc.kernel_of_order(k2)))
+    for k1, a in Ac.kernels.items():
+        for k2, b in Bc.kernels.items():
+            groups.setdefault(k1 + k2, []).append((a, b))
 
     def term(pair):
         a, b = (zero_pad(k, M) for k in pair)
@@ -170,7 +170,8 @@ def compose_series(
         sum_k sum_p b_hat_k(S_p Omega_j) * prod_r a_hat_{p_r}(theta_r)
 
     Orders above ``max_order`` are dropped with a TruncationWarning that
-    lists those some multiset reaches.  No term table is cached.
+    lists those some multiset reaches; a bank is built only for an inner order
+    that a kept multiset uses.  No term table is cached.
     """
     if A.constant != 0:
         raise ContractViolation(
@@ -180,20 +181,25 @@ def compose_series(
     Ac, Bc = A.canonical(), B.canonical()
     M_B = Bc.memory
     Lp = max(Ac.memory + M_B - 1, 1)
-    banks = {l: _shift_bank(a, M_B, Lp) for l, a in Ac.kernels.items() if l >= 1}
+    inner = [l for l in Ac.orders() if l >= 1]
     groups: dict = {}
     for k, b in Bc.kernels.items():
         if k > 0 or Bc.constant != 0:
             # one inner order: every multiset has equal parts and Sym alone suffices
-            b = symmetrize_plain(b) if len(banks) > 1 else b
-            for parts in itertools.combinations_with_replacement(banks, k):
-                groups.setdefault(sum(parts), []).append((b, parts))
+            b = symmetrize_plain(b) if len(inner) > 1 else b
+            for parts in itertools.combinations_with_replacement(inner, k):
+                weight = multinomial(k, [parts.count(p) for p in set(parts)])
+                groups.setdefault(sum(parts), []).append((weight, b, parts))
+
+    @functools.cache
+    def bank(l):
+        return _shift_bank(Ac.kernels[l], M_B, Lp)
 
     def term(multiset):
-        b, parts = multiset
-        data = multinomial(b.order, [parts.count(p) for p in set(parts)]) * b.data
+        weight, b, parts = multiset
+        data = weight * b.data
         for part in parts:
-            data = np.tensordot(data, banks[part][: b.memory], axes=([0], [0]))
+            data = _contract_leading(data, bank(part)[: b.memory])
         return data
 
     return _assemble("compose", max_order, groups, term, Lp).map_kernels(symmetrize_plain)

@@ -8,7 +8,10 @@ components sum to w mod L, scaled by 1 / L**(j-1).  That normalization makes
 it the DFT of the time path on the inverse DFT of the input, which is how
 ``eval_freq`` computes it.  ``_slice_sum`` keeps the dense sum for the lens
 components of ``morphisms``, whose integrands are no transform of the input;
-every delay-lattice contraction shares ``_contract``.
+every delay-lattice contraction shares ``_contract``.  Its first step, and
+each block of series composition in ``algebra``, contracts a tensor's
+leading axis against a matrix or a bank of shifted kernels through one
+helper, ``_contract_leading``: a reshape and a single matmul.
 """
 
 from __future__ import annotations
@@ -90,9 +93,20 @@ def _shift_matrix(s: np.ndarray, M: int) -> np.ndarray:
     return bank
 
 
+def _contract_leading(data: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """sum_a data[a, ...] mat[a, ...], shaped data.shape[1:] + mat.shape[1:]: one matmul.
+
+    ``np.tensordot`` does the same with several times the fixed cost per call,
+    which dominates on the small kernels of composition.
+    """
+    n = data.shape[0]
+    out = data.reshape(n, -1).T @ mat.reshape(n, -1)
+    return out.reshape(data.shape[1:] + mat.shape[1:])
+
+
 def _contract(data: np.ndarray, mats) -> np.ndarray:
     """sum_tau data(tau) prod_r mats[r][tau_r, t], one delay axis at a time."""
-    T = np.tensordot(data, mats[0], axes=([0], [0]))  # (..., t)
+    T = _contract_leading(data, mats[0])  # (..., t)
     for mat in mats[1:]:
         T = np.einsum("a...t,at->...t", T, mat)
     return T

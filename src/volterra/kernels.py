@@ -23,6 +23,15 @@ have ``setflags(write=False)``, the rest are tuples):
   ``(j, n_C, n_B, n_A, association)``, at most 256 entries.
 
 An orbit table holds 8 M^j bytes, half of one complex kernel of that shape.
+
+Copies.  Kernel data is read-only.  The public ``VolterraKernel(...)``
+constructor converts and copies the caller's array in one step, so later
+writes to that array never reach the kernel.  The package's own producers
+(the symmetrizers, ``zero_pad``, ``VolterraSeries.kernel_of_order`` and the
+products in ``algebra``) build a fresh array no one else holds and hand it
+over through ``VolterraKernel._fresh``, which marks it read-only without a
+copy.  A series keeps its kernels in a read-only dict, so the orders and
+memory it reads off them once at construction stay true.
 """
 
 from __future__ import annotations
@@ -60,10 +69,6 @@ __all__ = [
 DEFAULT_MAX_ORDER = 4
 
 
-def _as_complex(a) -> np.ndarray:
-    return np.asarray(a, dtype=np.complex128)
-
-
 @dataclass(frozen=True)
 class VolterraKernel:
     """Order-j weight tensor over the delay lattice {0..M-1}^j.
@@ -77,16 +82,26 @@ class VolterraKernel:
     data: np.ndarray
 
     def __post_init__(self):
+        self._take(np.array(self.data, dtype=np.complex128))
+
+    @classmethod
+    def _fresh(cls, order: int, memory: int, data: np.ndarray) -> "VolterraKernel":
+        """Kernel over a fresh complex array no one else holds, taken read-only, uncopied."""
+        kernel = object.__new__(cls)
+        object.__setattr__(kernel, "order", order)
+        object.__setattr__(kernel, "memory", memory)
+        kernel._take(data)
+        return kernel
+
+    def _take(self, data: np.ndarray) -> None:
         if self.order < 0:
             raise ContractViolation(f"kernel order must be >= 0, got {self.order}")
         if self.memory < 1:
             raise ContractViolation(f"kernel memory must be >= 1, got {self.memory}")
-        data = _as_complex(self.data)
         if data.shape != (self.memory,) * self.order:
             raise ContractViolation(
                 f"kernel data shape {data.shape} != {(self.memory,) * self.order}"
             )
-        data = data.copy()
         data.setflags(write=False)
         object.__setattr__(self, "data", data)
 
@@ -102,7 +117,7 @@ def kernel_from_array(data, memory=None) -> VolterraKernel:
 
     A given ``memory`` must match the shape (order 0 has none to match).
     """
-    data = _as_complex(data)
+    data = np.asarray(data, dtype=np.complex128)
     if data.ndim == 0:
         return VolterraKernel(0, memory or 1, data)
     sizes = set(data.shape)
@@ -140,7 +155,7 @@ def zero_pad(kernel: VolterraKernel, memory: int) -> VolterraKernel:
         return kernel
     data = np.zeros((memory,) * kernel.order, dtype=np.complex128)
     data[tuple(slice(0, kernel.memory) for _ in range(kernel.order))] = kernel.data
-    return VolterraKernel(kernel.order, memory, data)
+    return VolterraKernel._fresh(kernel.order, memory, data)
 
 
 @functools.lru_cache(maxsize=64)
@@ -185,7 +200,7 @@ def symmetrize_plain(kernel: VolterraKernel) -> VolterraKernel:
     if j <= 1:
         return kernel
     bucket, counts, sums = _orbit_sums(kernel)
-    return VolterraKernel(j, M, (sums / counts)[bucket].reshape(kernel.data.shape))
+    return VolterraKernel._fresh(j, M, (sums / counts)[bucket].reshape(kernel.data.shape))
 
 
 def symmetrize_weighted(kernel: VolterraKernel) -> VolterraKernel:
@@ -200,7 +215,7 @@ def symmetrize_weighted(kernel: VolterraKernel) -> VolterraKernel:
         return kernel
     bucket, counts, sums = _orbit_sums(kernel)
     scaled = sums * (math.factorial(j) / counts**2)
-    return VolterraKernel(j, M, scaled[bucket].reshape(kernel.data.shape))
+    return VolterraKernel._fresh(j, M, scaled[bucket].reshape(kernel.data.shape))
 
 
 def symmetric_part_max_deviation(kernel: VolterraKernel) -> float:
@@ -224,6 +239,16 @@ def vfrf(kernel: VolterraKernel, L: int) -> np.ndarray:
     return fr
 
 
+class _ReadOnlyDict(dict):
+    """A dict whose mutators raise; ``dict(d)`` or ``d.copy()`` gives a writable copy."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("the kernels of a series are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+
 @dataclass(frozen=True)
 class VolterraSeries:
     """A finite indexed family of kernels.
@@ -237,7 +262,19 @@ class VolterraSeries:
     kernels: Mapping[object, VolterraKernel] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "kernels", dict(self.kernels))
+        kernels = dict(self.kernels)
+        orders = tuple(sorted({k.order for k in kernels.values()}))
+        object.__setattr__(self, "kernels", _ReadOnlyDict(kernels))
+        # read off once: the kernels mapping is read-only and kernels are immutable
+        object.__setattr__(self, "_orders", orders)
+        memory = max((k.memory for k in kernels.values() if k.order > 0), default=1)
+        object.__setattr__(self, "_memory", memory)
+        canonical = tuple(kernels) == orders and all(i == k.order for i, k in kernels.items())
+        object.__setattr__(self, "_canonical", canonical)
+
+    def __reduce__(self):
+        # pickle refills a dict subclass item by item, which the read-only dict refuses
+        return type(self), (dict(self.kernels),)
 
     @property
     def indices(self) -> tuple:
@@ -247,15 +284,15 @@ class VolterraSeries:
         return self.kernels[index].order
 
     def orders(self) -> tuple[int, ...]:
-        return tuple(sorted({k.order for k in self.kernels.values()}))
+        return self._orders
 
     @property
     def max_order(self) -> int:
-        return max((k.order for k in self.kernels.values()), default=0)
+        return self._orders[-1] if self._orders else 0
 
     @property
     def memory(self) -> int:
-        return max((k.memory for k in self.kernels.values() if k.order > 0), default=1)
+        return self._memory
 
     @property
     def constant(self) -> complex:
@@ -269,12 +306,19 @@ class VolterraSeries:
         if len(same) == 1:
             return same[0]
         M = max(k.memory for k in same)
-        data = sum(zero_pad(k, M).data for k in same)
-        return VolterraKernel(j, M, data)
+        data = np.zeros((M,) * j, dtype=np.complex128)
+        for k in same:
+            data[(slice(0, k.memory),) * j] += k.data
+        return VolterraKernel._fresh(j, M, data)
 
     def canonical(self) -> "VolterraSeries":
-        """Merge kernels level-wise so each order appears exactly once."""
-        return VolterraSeries({j: self.kernel_of_order(j) for j in self.orders()})
+        """Merge kernels level-wise so each order appears exactly once, keyed by order.
+
+        A series already in that form, keys ascending, is returned itself.
+        """
+        if self._canonical:
+            return self
+        return VolterraSeries({j: self.kernel_of_order(j) for j in self._orders})
 
     def is_canonical(self) -> bool:
         orders = [k.order for k in self.kernels.values()]

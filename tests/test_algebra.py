@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import max_abs, random_series, random_signal, rel_err
+from conftest import max_abs, random_kernel, random_series, random_signal, rel_err
+from volterra import algebra
 from volterra.algebra import (
     associativity_harness,
     compose_series,
@@ -207,6 +208,39 @@ def test_compose_ignores_an_explicit_zero_inner_constant(rng):
     assert rec0[0].message.dropped_orders == (6,)
     for j in want.orders():
         assert np.array_equal(got.kernel_of_order(j).data, want.kernel_of_order(j).data)
+
+
+def test_compose_builds_shift_banks_only_for_kept_inner_orders(monkeypatch, rng):
+    # B of orders 1, 2 after A of orders 1, 4: at max_order=2 every multiset
+    # holding a part of order 4 reaches a dropped order, so its bank is unused
+    built = []
+
+    def recording_bank(a, *args):
+        built.append(a.order)
+        return real_bank(a, *args)
+
+    real_bank = algebra._shift_bank
+    A = VolterraSeries({1: random_kernel(1, 2, rng), 4: random_kernel(4, 2, rng)})
+    B = random_series(2, 3, rng)
+    want = compose_series(B, A, max_order=None)
+    monkeypatch.setattr(algebra, "_shift_bank", recording_bank)
+    with pytest.warns(TruncationWarning) as rec:
+        got = compose_series(B, A, max_order=2)
+    assert built == [1]
+    assert rec[0].message.dropped_orders == (4, 5, 8)
+    assert got.orders() == (1, 2)
+    for j in got.orders():
+        assert np.array_equal(got.kernels[j].data, want.kernels[j].data)
+
+
+@pytest.mark.parametrize("op", [compose_series, product_series])
+def test_products_return_read_only_data_of_their_own(op, rng):
+    A, B = random_series(2, 2, rng), random_series(1, 3, rng, constant=0.5)
+    out = op(B, A, max_order=None)
+    assert out.orders()
+    for k in out.kernels.values():
+        assert not k.data.flags.writeable
+        assert not any(np.shares_memory(k.data, x.data) for S in (A, B) for x in S.kernels.values())
 
 
 @pytest.mark.parametrize("op", [compose_series, product_series])

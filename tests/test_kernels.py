@@ -1,10 +1,12 @@
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from conftest import max_abs, random_kernel, random_series, random_signal, rel_err
+from volterra.algebra import coproduct
 from volterra.errors import ContractViolation, GridError
 from volterra.evaluation import eval_time
 from volterra.kernels import (
@@ -202,3 +204,113 @@ def test_kernel_from_array_checks_a_given_memory():
     with pytest.raises(ContractViolation, match="memory 2"):
         kernel_from_array(np.ones((3, 3)), memory=2)
     assert kernel_from_array(np.asarray(2.0), memory=5).memory == 5  # order 0 unchanged
+
+
+def read_only_view(base):
+    view = base.view()
+    view.setflags(write=False)
+    return view, base
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda a: (a, a),
+        lambda a: (a.real.copy(),) * 2,
+        read_only_view,  # written through its base
+    ],
+    ids=["complex", "real", "read-only"],
+)
+def test_public_constructor_copies_the_callers_data(make):
+    arr, alias = make(np.arange(9, dtype=np.complex128).reshape(3, 3))
+    kernel = VolterraKernel(2, 3, arr)
+    before = kernel.data.copy()
+    alias[1, 2] = 100.0
+    assert arr[1, 2] == 100.0 and np.array_equal(kernel.data, before)
+    assert not kernel.data.flags.writeable and not np.shares_memory(kernel.data, arr)
+
+
+def test_fresh_arrays_are_taken_read_only_without_a_copy():
+    fresh = np.ones((3, 3), dtype=np.complex128)
+    kernel = VolterraKernel._fresh(2, 3, fresh)
+    assert kernel.data is fresh and not fresh.flags.writeable
+    with pytest.raises(ContractViolation):
+        VolterraKernel._fresh(2, 4, np.ones((3, 3), dtype=np.complex128))
+
+
+@pytest.mark.parametrize(
+    "produce",
+    [
+        lambda k: (symmetrize_plain(k), (k,)),
+        lambda k: (symmetrize_weighted(k), (k,)),
+        lambda k: (zero_pad(k, 5), (k,)),
+        lambda k: (VolterraSeries({"a": k, "b": k}).kernel_of_order(2), (k,)),
+    ],
+    ids=["symmetrize_plain", "symmetrize_weighted", "zero_pad", "kernel_of_order"],
+)
+def test_producers_return_read_only_data_of_their_own(produce, rng):
+    out, inputs = produce(random_kernel(2, 3, rng))
+    assert not out.data.flags.writeable
+    assert not any(np.shares_memory(out.data, k.data) for k in inputs)
+
+
+def test_canonical_series_is_passed_through(rng):
+    series = random_series(3, 2, rng)
+    assert series.canonical() is series
+    with_constant = VolterraSeries({0: kernel_from_array(np.asarray(0.5)), **series.kernels})
+    assert with_constant.canonical() is with_constant
+
+
+@pytest.mark.parametrize(
+    "kernels",
+    [
+        lambda rng: {
+            "a": random_kernel(2, 2, rng),
+            "b": random_kernel(2, 3, rng),
+            1: random_kernel(1, 2, rng),
+        },
+        lambda rng: {2: random_kernel(2, 2, rng), 1: random_kernel(1, 3, rng)},  # descending keys
+        lambda rng: {1: random_kernel(2, 2, rng)},  # key is not the order
+    ],
+    ids=["tagged-duplicates", "descending", "misfiled"],
+)
+def test_canonical_merges_and_then_stays_put(kernels, rng):
+    series = VolterraSeries(kernels(rng))
+    merged = series.canonical()
+    assert merged is not series
+    assert merged.indices == merged.orders() == series.orders()
+    assert merged.canonical() is merged
+    s = random_signal(6, rng)
+    assert rel_err(eval_time(merged, s), eval_time(series, s)) < 1e-12
+
+
+def test_series_reads_its_orders_and_memory_once(rng):
+    empty = VolterraSeries({})
+    assert (empty.orders(), empty.memory, empty.max_order, empty.constant) == ((), 1, 0, 0)
+    only_constant = VolterraSeries({0: kernel_from_array(np.asarray(2 - 1j), memory=4)})
+    assert only_constant.orders() == (0,) and only_constant.memory == 1
+    assert only_constant.max_order == 0 and only_constant.constant == 2 - 1j
+    V = random_series(2, 3, rng, constant=0.5)
+    W = VolterraSeries({0: kernel_from_array(np.asarray(0.25j)), 3: random_kernel(3, 2, rng)})
+    union, _, _ = coproduct(V, W, 8)
+    assert union.orders() == (0, 1, 2, 3) and union.memory == 3 and union.max_order == 3
+    assert union.constant == 0.5 + 0.25j
+
+    kernels = {1: random_kernel(1, 2, rng)}
+    series = VolterraSeries(kernels)
+    kernels[4] = random_kernel(4, 5, rng)  # the caller's dict is not the series' mapping
+    assert series.orders() == (1,) and series.memory == 2 and series.max_order == 1
+    with pytest.raises(TypeError):
+        series.kernels[4] = kernels[4]
+    with pytest.raises(TypeError):
+        del series.kernels[1]
+    with pytest.raises(TypeError):
+        series.kernels.update(kernels)
+    assert series.kernels.copy() == dict(series.kernels) == {1: series.kernels[1]}
+
+
+def test_series_pickles(rng):
+    series = random_series(2, 2, rng, constant=1.5)
+    back = pickle.loads(pickle.dumps(series))
+    assert back.indices == series.indices and back.memory == series.memory
+    assert all(np.array_equal(back.kernels[i].data, k.data) for i, k in series.kernels.items())
