@@ -7,8 +7,11 @@ kernel-weighted input-spectrum products over all frequency vectors whose
 components sum to w mod L, scaled by 1 / L**(j-1).  That normalization makes
 it the DFT of the time path on the inverse DFT of the input, which is how
 ``eval_freq`` computes it.  ``_slice_sum`` keeps the dense sum for the lens
-components of ``morphisms``, whose integrands are no transform of the input;
-every delay-lattice contraction shares ``_contract``.  Its first step, and
+components of ``morphisms``, whose integrands are no transform of the input.
+It takes a leading batch axis: a 2-d spectrum is a stack of independent
+rows, ``outer_power`` forms each row's tensor power, and ``project_diagonal``
+sums every row in one ``bincount``, row b's index sums offset by b * L.
+Every delay-lattice contraction shares ``_contract``.  Its first step, and
 each block of series composition in ``algebra``, contracts a tensor's
 leading axis against a matrix or a bank of shifted kernels through one
 helper, ``_contract_leading``: a reshape and a single matmul.
@@ -138,33 +141,51 @@ def index_sum_grid(j: int, L: int) -> np.ndarray:
     return total
 
 
-def project_diagonal(T: np.ndarray, L: int) -> np.ndarray:
-    """h(w) = sum of T over index vectors whose components sum to w mod L."""
-    j = T.ndim
-    if j == 0:
-        out = np.zeros(L, dtype=np.complex128)
-        out[0] = complex(T)
-        return out
-    sums = index_sum_grid(j, L).ravel()
+def project_diagonal(T: np.ndarray, L: int, batched: bool = False) -> np.ndarray:
+    """h(w) = sum of T over index vectors whose components sum to w mod L.
+
+    With ``batched``, T's leading axis stacks b tensors over {0..L-1}^j and
+    the result is (b, L): one ``bincount`` whose index sums for row r are
+    offset by r * L, so each row accumulates in its own order as alone.
+    """
+    T = np.asarray(T)
+    rows = T.shape[0] if batched else 1
+    sums = index_sum_grid(T.ndim - batched, L).ravel()
+    if rows > 1:
+        sums = (sums + L * np.arange(rows)[:, None]).ravel()
     flat = T.ravel()
-    return (
-        np.bincount(sums, weights=flat.real, minlength=L)
-        + 1j * np.bincount(sums, weights=flat.imag, minlength=L)
+    out = (
+        np.bincount(sums, weights=flat.real, minlength=rows * L)
+        + 1j * np.bincount(sums, weights=flat.imag, minlength=rows * L)
     )
+    return out.reshape(rows, L) if batched else out
 
 
 def outer_power(v: np.ndarray, j: int) -> np.ndarray:
-    """j-fold outer product v (x) v (x) ... (x) v."""
-    out = np.array(1.0, dtype=np.complex128)
-    for _ in range(j):
-        out = np.multiply.outer(out, v)
-    return out.reshape((v.size,) * j)
+    """j-fold outer product v (x) v (x) ... (x) v over v's last axis.
+
+    Leading axes of v are a batch: the result has shape v.shape[:-1] + (L,) * j.
+    """
+    v = np.asarray(v)
+    lead, L = v.shape[:-1], v.shape[-1]
+    out = np.ones(lead, dtype=np.complex128)
+    for k in range(j):
+        out = out[..., None] * v.reshape(lead + (1,) * k + (L,))
+    return out
 
 
 def _slice_sum(integrand: np.ndarray, s_hat: np.ndarray) -> np.ndarray:
-    """project_diagonal(integrand . s_hat^(x)j) / L**(j-1), integrand over {0..L-1}^j, j >= 1."""
-    L, j = s_hat.size, integrand.ndim
-    return project_diagonal(integrand * outer_power(s_hat, j), L) / L ** (j - 1)
+    """project_diagonal(integrand . s_hat^(x)j) / L**(j-1), integrand over {0..L-1}^j, j >= 1.
+
+    A 2-d ``s_hat`` is a batch of b spectra; the integrand then carries a
+    leading axis of size 1 or b, and the result is (b, L), row by row.
+    """
+    batched = s_hat.ndim == 2
+    L, j = s_hat.shape[-1], integrand.ndim - batched
+    product = outer_power(s_hat, j)
+    # in place, integrand first: with FMA, complex products round differently when swapped
+    np.multiply(integrand, product, out=product)
+    return project_diagonal(product, L, batched) / L ** (j - 1)
 
 
 def eval_freq(series: VolterraSeries, s_hat, weights=None) -> np.ndarray:

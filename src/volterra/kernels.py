@@ -321,8 +321,8 @@ class VolterraSeries:
         return VolterraSeries({j: self.kernel_of_order(j) for j in self._orders})
 
     def is_canonical(self) -> bool:
-        orders = [k.order for k in self.kernels.values()]
-        return len(orders) == len(set(orders))
+        """True iff ``canonical()`` returns the series itself: keyed by order, ascending."""
+        return self._canonical
 
     def map_kernels(self, fn) -> "VolterraSeries":
         return VolterraSeries({i: fn(k) for i, k in self.kernels.items()})

@@ -14,6 +14,7 @@ lens data; morphisms are defined on the indices of order >= 1.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,12 +167,23 @@ def _integrands(m: Morphism, V: VolterraSeries, W: VolterraSeries, L: int) -> li
     ]
 
 
+# Naturality trials go through _component in chunks whose batch tensor
+# (rows x L**j entries) stays within this many entries.
+_BATCH_ENTRIES = 1 << 15
+
+
 def _component(integrands: list, s_hat: np.ndarray, post=None) -> np.ndarray:
-    """Sum of the integrands' slice sums, each weighted by post^(x)j if given."""
-    out = np.zeros(s_hat.size, dtype=np.complex128)
+    """Per row of s_hat (b, L), the sum of the integrands' slice sums.
+
+    Each integrand is weighted by the matching row's post^(x)j if given.
+    """
+    out = np.zeros(s_hat.shape, dtype=np.complex128)
     for integrand in integrands:
-        if post is not None:
-            integrand = integrand * outer_power(post, integrand.ndim)
+        if post is None:
+            integrand = integrand[None]
+        else:  # in place, integrand first, as in _slice_sum
+            weighted = outer_power(post, integrand.ndim)
+            integrand = np.multiply(integrand, weighted, out=weighted)
         out += _slice_sum(integrand, s_hat)
     return out
 
@@ -190,11 +202,16 @@ def apply_component(
 
     ``post_weights``, if given, multiplies the assembled integrand by the
     tensor power of a multiplier's weight vector: the target-side leg of
-    the naturality square.
+    the naturality square.  It must have the spectrum's length.
     """
     s_hat = _signal(s_hat)
-    post = None if post_weights is None else _signal(post_weights)
-    return _component(_integrands(m, V, W, s_hat.size), s_hat, post)
+    post = None
+    if post_weights is not None:
+        post = _signal(post_weights)
+        if post.size != s_hat.size:
+            raise ContractViolation("weight vector length must match the spectrum")
+        post = post[None]
+    return _component(_integrands(m, V, W, s_hat.size), s_hat[None], post)[0]
 
 
 def check_naturality(
@@ -211,8 +228,19 @@ def check_naturality(
     after the input-side action of f against the target-side weighting of
     the assembled component integrand.  For mask-and-pullback components
     both legs are the same integrand product in a different order, so the
-    residual measures rounding.  ``trials`` must be at least 1.
+    residual measures rounding.  ``trials`` must be an integer >= 1.
+
+    The trials run as batches through the slice sum of ``apply_component``:
+    each chunk stacks as many trials as keep its batch tensor within
+    ``_BATCH_ENTRIES`` entries at the highest order (at least one trial),
+    so memory stays bounded whatever ``trials`` is.  Each trial draws its
+    signal and then its multiplier from ``rng``, in trial order, and the
+    residual equals that of a loop of ``apply_component`` pairs.
     """
+    try:
+        trials = operator.index(trials)
+    except TypeError:
+        raise ContractViolation(f"naturality trials must be an integer, got {trials!r}") from None
     if trials < 1:
         raise ContractViolation(f"naturality check needs trials >= 1, got {trials}")
     rng = np.random.default_rng(rng)
@@ -220,10 +248,15 @@ def check_naturality(
     if L is None:
         raise ContractViolation("cannot infer grid length from an empty morphism")
     integrands = _integrands(m, V, W, L)
+    size = max((integrand.size for integrand in integrands), default=1)
+    rows = max(1, _BATCH_ENTRIES // size)
     worst = 0.0
-    for _ in range(trials):
-        s_hat = rng.standard_normal(L) + 1j * rng.standard_normal(L)
-        gamma = rng.standard_normal(L) + 1j * rng.standard_normal(L)
+    for start in range(0, trials, rows):
+        s_hat = np.empty((min(rows, trials - start), L), dtype=np.complex128)
+        gamma = np.empty_like(s_hat)
+        for r in range(s_hat.shape[0]):
+            s_hat[r] = rng.standard_normal(L) + 1j * rng.standard_normal(L)
+            gamma[r] = rng.standard_normal(L) + 1j * rng.standard_normal(L)
         through_input = _component(integrands, gamma * s_hat)
         through_target = _component(integrands, s_hat, post=gamma)
         worst = max(worst, float(np.max(np.abs(through_input - through_target))))

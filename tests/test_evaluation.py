@@ -15,9 +15,12 @@ from volterra.evaluation import (
     eval_time,
     index_sum_grid,
     oracle_eval,
+    outer_power,
+    project_diagonal,
     response_comb,
     response_exponential,
     _shift_matrix,
+    _slice_sum,
 )
 from volterra.kernels import (
     delta_kernel,
@@ -244,3 +247,23 @@ def test_index_sum_grid_is_cached_read_only(j, L):
     grid = index_sum_grid(j, L)
     assert grid is index_sum_grid(j, L) and not grid.flags.writeable
     assert np.array_equal(grid, np.indices((L,) * j).sum(axis=0) % L)
+
+
+@pytest.mark.parametrize("j, L, rows", [(0, 4, 3), (1, 5, 1), (2, 4, 3), (3, 3, 5)])
+def test_slice_sum_steps_take_a_leading_batch_axis(j, L, rows, rng):
+    spectra = np.stack([random_signal(L, rng) for _ in range(rows)])
+    powers = outer_power(spectra, j)
+    assert powers.shape == (rows,) + (L,) * j
+    projected = project_diagonal(powers, L, batched=True)
+    assert projected.shape == (rows, L)
+    for r in range(rows):
+        assert np.array_equal(powers[r], outer_power(spectra[r], j))
+        assert np.array_equal(projected[r], project_diagonal(powers[r], L))
+    if j == 0:
+        return
+    integrand = random_signal(L**j, rng).reshape((L,) * j)
+    shared = _slice_sum(integrand[None], spectra)
+    per_row = _slice_sum(powers, spectra)
+    for r in range(rows):  # numpy may run the batched product as one loop across rows
+        assert rel_err(shared[r], _slice_sum(integrand, spectra[r])) <= 1e-14
+        assert rel_err(per_row[r], _slice_sum(powers[r], spectra[r])) <= 1e-14

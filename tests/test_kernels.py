@@ -261,6 +261,14 @@ def test_canonical_series_is_passed_through(rng):
     assert with_constant.canonical() is with_constant
 
 
+def test_is_canonical_agrees_with_canonical(rng):
+    tagged = VolterraSeries({"a": delta_kernel(2, 2), "b": delta_kernel(1, 1)})
+    assert not tagged.is_canonical()
+    assert tagged.canonical() is not tagged and tagged.canonical().is_canonical()
+    series = random_series(3, 2, rng)
+    assert series.canonical() is series and series.is_canonical()
+
+
 @pytest.mark.parametrize(
     "kernels",
     [

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from conftest import max_abs, random_series, random_signal, rel_err
 from volterra.errors import ContractViolation
 from volterra.evaluation import eval_freq
 from volterra.kernels import VolterraKernel, VolterraSeries, delta_kernel, vfrf
+from volterra import morphisms
 from volterra.morphisms import (
     CATALOG_KINDS,
     Morphism,
@@ -138,6 +141,78 @@ def test_check_naturality_rejects_fewer_than_one_trial(trials, rng):
     W, m = catalog("identity", V, L)
     with pytest.raises(ContractViolation, match="trials"):
         check_naturality(m, V, W, trials=trials, rng=1)
+
+
+@pytest.mark.parametrize("trials", [2.5, "3", None])
+def test_check_naturality_rejects_a_non_integer_trial_count(trials, rng):
+    V = random_series(2, 3, rng)
+    W, m = catalog("identity", V, L)
+    with pytest.raises(ContractViolation, match="trials"):
+        check_naturality(m, V, W, trials=trials, rng=1)
+    assert check_naturality(m, V, W, trials=np.int64(2), rng=1) <= 1e-12
+
+
+def test_apply_component_rejects_post_weights_of_the_wrong_length(rng):
+    V = random_series(2, 3, rng)
+    W, m = catalog("identity", V, L)
+    s_hat = random_signal(L, rng)
+    with pytest.raises(ContractViolation, match="weight vector length"):
+        apply_component(m, V, W, s_hat, post_weights=random_signal(L - 1, rng))
+
+
+def naturality_loop(m, V, W, trials, seed, length):
+    """check_naturality's residual as a loop of apply_component pairs on the same draws."""
+    draws = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        s_hat = draws.standard_normal(length) + 1j * draws.standard_normal(length)
+        gamma = draws.standard_normal(length) + 1j * draws.standard_normal(length)
+        through_input = apply_component(m, V, W, gamma * s_hat)
+        through_target = apply_component(m, V, W, s_hat, post_weights=gamma)
+        worst = max(worst, max_abs(through_input - through_target))
+    return worst
+
+
+NATURALITY_PARAMS = {"translation": {1: (1,), 2: (2, 1), 3: (1, 0, 2)}, "sampling": 2, "smoothing": 0.6}
+
+
+@pytest.mark.parametrize("kind", CATALOG_KINDS)
+def test_check_naturality_chunks_match_a_loop_of_components(kind, rng):
+    length, trials = 16, 20
+    rows = morphisms._BATCH_ENTRIES // length**3  # trials per chunk at order 3
+    assert 1 < rows < trials and trials % rows  # several chunks, the last one short
+    V = random_series(3, 3, rng)
+    W, m = catalog(kind, V, length, params=NATURALITY_PARAMS.get(kind))
+    draws = np.random.default_rng(5)
+    got = check_naturality(m, V, W, trials=trials, rng=draws)
+    assert abs(got - naturality_loop(m, V, W, trials, 5, length)) <= 1e-12
+    # each trial draws 4 * length normals: the signal's and the multiplier's parts
+    reference = np.random.default_rng(5)
+    reference.standard_normal(4 * length * trials)
+    assert draws.standard_normal() == reference.standard_normal()
+
+
+@pytest.mark.parametrize("kind", ["identity", "translation"])
+def test_check_naturality_one_trial_chunks_match_a_loop_of_components(kind, rng):
+    length, trials = 32, 3
+    assert morphisms._BATCH_ENTRIES // length**3 == 1  # one trial per chunk at order 3
+    V = random_series(3, 3, rng)
+    W, m = catalog(kind, V, length, params=NATURALITY_PARAMS.get(kind))
+    got = check_naturality(m, V, W, trials=trials, rng=6)
+    assert abs(got - naturality_loop(m, V, W, trials, 6, length)) <= 1e-12
+
+
+def test_check_naturality_memory_is_bounded_by_the_chunk(rng):
+    # 20 trials at L=32, order 3: one unchunked batch would hold 20 * 32**3 entries (10 MiB)
+    V = random_series(3, 3, rng)
+    W, m = catalog("identity", V, 32)
+    tracemalloc.start()
+    try:
+        check_naturality(m, V, W, trials=20, rng=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def test_convolution_type_component_breaks_naturality(rng):
