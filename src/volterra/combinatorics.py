@@ -94,12 +94,17 @@ class Multicombination:
         return multinomial(self.total, self.counts)
 
 
+def _parts(cuts: tuple[int, ...], total: int) -> tuple[int, ...]:
+    """Gaps between consecutive cut points of 0 .. total."""
+    return tuple(b - a for a, b in itertools.pairwise((0, *cuts, total)))
+
+
 def weak_compositions(j: int, k: int) -> list[WeakComposition]:
     """All weak k-compositions of j, in lexicographic order on parts.
 
-    There are binom(j+k-1, k-1) of them.  ``k = 0`` is an empty domain
-    unless ``j = 0`` as well, in which case the single empty composition
-    is returned.
+    There are binom(j+k-1, k-1) of them: one per multiset of k - 1 cut
+    points in 0 .. j.  ``k = 0`` is an empty domain unless ``j = 0`` as
+    well, in which case the single empty composition is returned.
     """
     if j < 0 or k < 0:
         raise ContractViolation(f"weak_compositions needs j >= 0, k >= 0, got ({j}, {k})")
@@ -107,39 +112,19 @@ def weak_compositions(j: int, k: int) -> list[WeakComposition]:
         if j == 0:
             return [WeakComposition(())]
         raise ContractViolation(f"no weak 0-compositions of {j} > 0")
-    out: list[WeakComposition] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, slots: int):
-        if slots == 1:
-            out.append(WeakComposition(prefix + (remaining,)))
-            return
-        for first in range(remaining + 1):
-            rec(prefix + (first,), remaining - first, slots - 1)
-
-    rec((), j, k)
-    return out
+    cuts = itertools.combinations_with_replacement(range(j + 1), k - 1)
+    return [WeakComposition(_parts(c, j)) for c in cuts]
 
 
 def compositions(n: int, m: int) -> list[Composition]:
     """All m-compositions of n (positive parts), lexicographic.
 
-    Counted by binom(n-1, m-1); ``m > n`` yields the empty list.
+    Counted by binom(n-1, m-1): one per set of m - 1 distinct cut points in
+    1 .. n-1, so ``m > n`` yields the empty list.
     """
     if n < 1 or m < 1:
         raise ContractViolation(f"compositions needs n >= 1, m >= 1, got ({n}, {m})")
-    if m > n:
-        return []
-    out: list[Composition] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, slots: int):
-        if slots == 1:
-            out.append(Composition(prefix + (remaining,)))
-            return
-        for first in range(1, remaining - slots + 2):
-            rec(prefix + (first,), remaining - first, slots - 1)
-
-    rec((), n, m)
-    return out
+    return [Composition(_parts(c, n)) for c in itertools.combinations(range(1, n), m - 1)]
 
 
 def multinomial(j: int, parts) -> int:

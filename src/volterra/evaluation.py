@@ -1,25 +1,22 @@
-"""Series evaluation in the time and frequency domains.
+"""Series evaluation on the delay lattice.
 
 ``oracle_eval`` is the literal nested-loop reference implementation; every
-other evaluator in the package is tested against it.  The paper's frequency
-path is the projection-slice sum: the output spectrum at bin w collects
-kernel-weighted input-spectrum products over all frequency vectors whose
-components sum to w mod L, scaled by 1 / L**(j-1).  That normalization makes
-it the DFT of the time path on the inverse DFT of the input, which is how
-``eval_freq`` computes it.  ``_slice_sum`` keeps the dense sum for the lens
-components of ``morphisms``, whose integrands are no transform of the input.
-It takes a leading batch axis: a 2-d spectrum is a stack of independent
-rows, ``outer_power`` forms each row's tensor power, and ``project_diagonal``
-sums every row in one ``bincount``, row b's index sums offset by b * L.
-Every delay-lattice contraction shares ``_contract``.  Its first step, and
-each block of series composition in ``algebra``, contracts a tensor's
-leading axis against a matrix or a bank of shifted kernels through one
-helper, ``_contract_leading``: a reshape and a single matmul.
+other evaluator in the package is tested against it.  The time path
+contracts each kernel over the delay lattice {0..M-1}^j against delayed
+copies of the input, and every such contraction shares ``_contract``.  Its
+first step, and each block of series composition in ``algebra``, contracts
+a tensor's leading axis against a matrix or a bank of shifted kernels
+through one helper, ``_contract_leading``: a reshape and a single matmul.
+
+The paper's frequency path, the projection-slice sum scaled by 1 / L**(j-1),
+is exactly the DFT of the time path on the inverse DFT of the input, and
+``eval_freq`` computes it that way: this module builds nothing on the
+frequency lattice {0..L-1}^j.  The dense slice sum, for lens components
+whose integrands are no transform of the input, lives in ``morphisms``.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -40,9 +37,6 @@ __all__ = [
     "eval_multivariate",
     "response_exponential",
     "response_comb",
-    "index_sum_grid",
-    "project_diagonal",
-    "outer_power",
 ]
 
 
@@ -131,61 +125,6 @@ def eval_time(series: VolterraSeries, s) -> np.ndarray:
     for kernel in series.kernels.values():
         y += eval_homogeneous(kernel, s)
     return y
-
-
-@functools.lru_cache(maxsize=16)
-def index_sum_grid(j: int, L: int) -> np.ndarray:
-    """Tensor over {0..L-1}^j holding the index sum mod L; read-only, cached by (j, L)."""
-    total = functools.reduce(np.add.outer, [np.arange(L)] * j, np.zeros((), np.int64)) % L
-    total.setflags(write=False)
-    return total
-
-
-def project_diagonal(T: np.ndarray, L: int, batched: bool = False) -> np.ndarray:
-    """h(w) = sum of T over index vectors whose components sum to w mod L.
-
-    With ``batched``, T's leading axis stacks b tensors over {0..L-1}^j and
-    the result is (b, L): one ``bincount`` whose index sums for row r are
-    offset by r * L, so each row accumulates in its own order as alone.
-    """
-    T = np.asarray(T)
-    rows = T.shape[0] if batched else 1
-    sums = index_sum_grid(T.ndim - batched, L).ravel()
-    if rows > 1:
-        sums = (sums + L * np.arange(rows)[:, None]).ravel()
-    flat = T.ravel()
-    out = (
-        np.bincount(sums, weights=flat.real, minlength=rows * L)
-        + 1j * np.bincount(sums, weights=flat.imag, minlength=rows * L)
-    )
-    return out.reshape(rows, L) if batched else out
-
-
-def outer_power(v: np.ndarray, j: int) -> np.ndarray:
-    """j-fold outer product v (x) v (x) ... (x) v over v's last axis.
-
-    Leading axes of v are a batch: the result has shape v.shape[:-1] + (L,) * j.
-    """
-    v = np.asarray(v)
-    lead, L = v.shape[:-1], v.shape[-1]
-    out = np.ones(lead, dtype=np.complex128)
-    for k in range(j):
-        out = out[..., None] * v.reshape(lead + (1,) * k + (L,))
-    return out
-
-
-def _slice_sum(integrand: np.ndarray, s_hat: np.ndarray) -> np.ndarray:
-    """project_diagonal(integrand . s_hat^(x)j) / L**(j-1), integrand over {0..L-1}^j, j >= 1.
-
-    A 2-d ``s_hat`` is a batch of b spectra; the integrand then carries a
-    leading axis of size 1 or b, and the result is (b, L), row by row.
-    """
-    batched = s_hat.ndim == 2
-    L, j = s_hat.shape[-1], integrand.ndim - batched
-    product = outer_power(s_hat, j)
-    # in place, integrand first: with FMA, complex products round differently when swapped
-    np.multiply(integrand, product, out=product)
-    return project_diagonal(product, L, batched) / L ** (j - 1)
 
 
 def eval_freq(series: VolterraSeries, s_hat, weights=None) -> np.ndarray:

@@ -11,7 +11,6 @@ scaling normalized to the maximum.
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
@@ -43,7 +42,8 @@ def _csv_rows(path, kind, width=None) -> list:
     """Float rows of a non-empty ``kind`` CSV file, blank lines skipped, all as wide as
     ``width`` or the first."""
     rows = []
-    with open(path) as fh:
+    # undecodable bytes become U+FFFD, which no number parses: a malformed line
+    with open(path, encoding="utf-8", errors="replace") as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
@@ -102,16 +102,26 @@ def _pairs(array: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in flat]
 
 
-def _from_pairs(path, pairs: list, shape) -> np.ndarray:
-    if len(pairs) != math.prod(shape):
+def _from_pairs(path, pairs: list, side, order: int) -> np.ndarray:
+    """The [re, im] pairs as a complex tensor of shape (side,) * order.
+
+    Order, side and count are checked before the shape is built, so that no
+    order a file holds can reach numpy's axis limit or a huge allocation.
+    """
+    if not 0 <= order <= 64 or (order and (side is None or side < 1)):  # numpy's axis limit
+        raise ContractViolation(f"{path}: there is no order-{order} tensor of side {side}")
+    if len(pairs) != (side**order if order else 1):
         raise ContractViolation(
-            f"{path}: data holds {len(pairs)} values, shape {shape} needs {math.prod(shape)}"
+            f"{path}: data holds {len(pairs)} values, an order-{order} tensor of side "
+            f"{side} needs {side}**{order}"
         )
     try:
+        if not all(type(v) in (int, float) for pair in pairs for v in pair):  # no bools
+            raise TypeError
         data = np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ContractViolation(f"{path}: data entries must be [re, im] number pairs") from None
-    return data.reshape(shape)
+    return data.reshape((side,) * order)
 
 
 def _field(path, record, key, kind):
@@ -152,10 +162,12 @@ def save_series(path, series: VolterraSeries):
 
 
 def _load_manifest(path) -> dict:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # ValueError covers malformed JSON, bytes that are no UTF-8 and integers
+        # past Python's digit limit; RecursionError covers too deep a nesting
+        except (ValueError, RecursionError) as exc:
             raise ContractViolation(f"{path}: not a valid manifest ({exc})") from None
     if not isinstance(manifest, dict):
         raise ContractViolation(f"{path}: manifest must be a JSON object")
@@ -171,10 +183,8 @@ def load_series(path) -> VolterraSeries:
     for entry in _field(path, manifest, "kernels", list):
         order = _field(path, entry, "order", int)
         index = _field(path, entry, "index", (int, str))
-        shape = (M,) * order if order > 0 else ()
-        kernels[index] = VolterraKernel(
-            order, M if order else 1, _from_pairs(path, _field(path, entry, "data", list), shape)
-        )
+        data = _from_pairs(path, _field(path, entry, "data", list), M, order)
+        kernels[index] = VolterraKernel(order, M if order else 1, data)
     return VolterraSeries(kernels)
 
 
@@ -205,12 +215,10 @@ def load_morphism(path) -> Morphism:
     for comp in _field(path, manifest, "components", list):
         i = _field(path, comp, "source", (int, str))
         index_map[i] = _field(path, comp, "target", (int, str))
-        try:
-            matrices[i] = np.asarray(_field(path, comp, "matrix", list), dtype=np.int64)
-        except (TypeError, ValueError):
-            raise ContractViolation(f"{path}: matrix at {i!r} is not an integer matrix") from None
+        matrices[i] = _field(path, comp, "matrix", list)
         order = _field(path, comp, "mask_order", int)
-        if order > 0 and (L is None or L < 1):
-            raise ContractViolation(f"{path}: an order-{order} mask needs a length >= 1, got {L}")
-        masks[i] = _from_pairs(path, _field(path, comp, "mask", list), (L,) * order)
-    return Morphism(index_map, matrices, masks)
+        masks[i] = _from_pairs(path, _field(path, comp, "mask", list), L, order)
+    try:
+        return Morphism(index_map, matrices, masks)
+    except ContractViolation as exc:
+        raise ContractViolation(f"{path}: {exc}") from None

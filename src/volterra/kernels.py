@@ -12,15 +12,18 @@ Conventions used everywhere in the package:
 Kernels are stored dense; the practical caps are order <= 4 and memory
 M <= 16 unless a caller knows better.
 
-Cached tables.  The composition path needs integer tables that depend only
-on shapes, never on kernel data.  Each is built once, kept in a
+Cached tables.  Composition and morphisms need integer tables that depend
+only on shapes, never on kernel data.  Each is built once, kept in a
 ``functools.lru_cache`` bounded by entry count, and is read-only (arrays
 have ``setflags(write=False)``, the rest are tuples):
 
 * here, the orbit table of the {0..M-1}^j delay lattice, keyed by
   ``(order, memory)``, at most 64 shapes; both symmetrizers read it;
 * in ``algebra``, the association label multisets, keyed by
-  ``(j, n_C, n_B, n_A, association)``, at most 256 entries.
+  ``(j, n_C, n_B, n_A, association)``, at most 256 entries;
+* in ``morphisms``, the frequency-lattice map of an integer matrix, keyed
+  by ``(rows, j, L)``, at most 16 entries of 8 L^j bytes each; the
+  pullback gather and the slice sum read it.
 
 An orbit table holds 8 M^j bytes, half of one complex kernel of that shape.
 

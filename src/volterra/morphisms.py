@@ -1,4 +1,4 @@
-"""Lens-map morphisms between Volterra series.
+"""Lens-map morphisms between Volterra series, and the frequency-lattice map.
 
 A morphism from V to W is (1) a map between index sets, (2) per source
 index an integer matrix taking source frequency vectors to target ones,
@@ -10,17 +10,24 @@ with the matrix and multiplies by the mask.
 
 Constant (order-0) terms carry no frequency argument and sit outside the
 lens data; morphisms are defined on the indices of order >= 1.
+
+The frequency-lattice map lives here: ``_lattice_map`` indexes M Omega mod
+L over {0..L-1}^j, and both of the paper's uses of it read that one table.
+``pullback_gather`` gathers a target tensor along it; ``_slice_sum``, the
+dense projection-slice sum of a lens component, scatters along it for the
+all-ones row, whose image of Omega is its frequency sum(Omega) mod L.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolation
-from .evaluation import outer_power, _signal, _slice_sum
+from .evaluation import _signal
 from .kernels import VolterraKernel, VolterraSeries, delta_kernel, vfrf
 
 __all__ = [
@@ -37,6 +44,21 @@ __all__ = [
 ]
 
 
+def _integer_matrix(i, mat) -> np.ndarray:
+    """``mat`` as a contiguous int64 array; it must be 2-d, of an integer dtype unless empty."""
+    try:
+        array = np.asarray(mat)
+    except (TypeError, ValueError, OverflowError):  # a ragged nesting
+        array = np.empty(0, dtype=object)
+    if array.ndim == 2 and (array.size == 0 or np.issubdtype(array.dtype, np.integer)):
+        matrix = np.ascontiguousarray(array, dtype=np.int64)
+        if np.array_equal(matrix, array):  # no unsigned entry wrapped round
+            return matrix
+    raise ContractViolation(
+        f"frequency matrix at {i!r} must be a 2-d integer array, got {array.ndim}-d {array.dtype}"
+    )
+
+
 @dataclass(frozen=True)
 class Morphism:
     """Lens datum: index map forward, frequency matrix and mask per index."""
@@ -47,10 +69,7 @@ class Morphism:
 
     def __post_init__(self):
         object.__setattr__(self, "index_map", dict(self.index_map))
-        matrices = {
-            i: np.ascontiguousarray(np.asarray(mat, dtype=np.int64))
-            for i, mat in dict(self.matrices).items()
-        }
+        matrices = {i: _integer_matrix(i, mat) for i, mat in dict(self.matrices).items()}
         masks = {i: np.asarray(mk, dtype=np.complex128) for i, mk in dict(self.masks).items()}
         object.__setattr__(self, "matrices", matrices)
         object.__setattr__(self, "masks", masks)
@@ -116,32 +135,62 @@ def validate_morphism(m: Morphism, V: VolterraSeries, W: VolterraSeries) -> Vali
     return ValidationReport(tuple(problems))
 
 
-def _flat_index(matrix: np.ndarray, L: int) -> np.ndarray:
-    """Flat target index of matrix @ Omega mod L at every source point Omega."""
-    omega = np.indices((L,) * matrix.shape[1], sparse=True)
-    flat = np.zeros((L,) * matrix.shape[1], dtype=np.int64)
-    for row in matrix:
+@functools.lru_cache(maxsize=16)
+def _lattice_map(rows: tuple, j: int, L: int) -> np.ndarray:
+    """Flat target index of M Omega mod L at each Omega of {0..L-1}^j, M given by its rows."""
+    omega = np.indices((L,) * j, sparse=True)
+    flat = np.zeros((L,) * j, dtype=np.int64)
+    for row in rows:
         flat *= L
-        flat += sum((int(c) * w for c, w in zip(row, omega) if c), 0) % L
+        flat += sum((c * w for c, w in zip(row, omega) if c), 0) % L
+    flat.setflags(write=False)
     return flat
 
 
 def pullback_gather(target_data: np.ndarray, matrix: np.ndarray, L: int) -> np.ndarray:
     """Precompose a target-lattice tensor with the integer frequency map."""
     tgt_order, src_order = matrix.shape
-    if tgt_order != target_data.ndim:
-        raise ContractViolation(
-            f"matrix maps into order {tgt_order} but target tensor has order {target_data.ndim}"
-        )
-    if tgt_order == 0:
-        return np.full((L,) * src_order, complex(target_data))
-    if src_order == 0:
-        return np.asarray(target_data[(0,) * tgt_order])
     if target_data.shape != (L,) * tgt_order:
         raise ContractViolation(
-            f"target tensor has shape {target_data.shape}, expected {(L,) * tgt_order}"
+            f"matrix maps into order {tgt_order}: target tensor has shape "
+            f"{target_data.shape}, expected {(L,) * tgt_order}"
         )
-    return target_data.ravel()[_flat_index(np.asarray(matrix, dtype=np.int64), int(L))]
+    return target_data.ravel()[_lattice_map(tuple(map(tuple, matrix.tolist())), src_order, L)]
+
+
+def outer_power(v: np.ndarray, j: int) -> np.ndarray:
+    """j-fold outer product v (x) v (x) ... (x) v over v's last axis.
+
+    Leading axes of v are a batch: the result has shape v.shape[:-1] + (L,) * j.
+    """
+    v = np.asarray(v)
+    lead, L = v.shape[:-1], v.shape[-1]
+    out = np.ones(lead, dtype=np.complex128)
+    for k in range(j):
+        out = out[..., None] * v.reshape(lead + (1,) * k + (L,))
+    return out
+
+
+def _slice_sum(integrand: np.ndarray, s_hat: np.ndarray) -> np.ndarray:
+    """Per row of s_hat (b, L): the slice sum of integrand . s_hat^(x)j, over L**(j-1).
+
+    The integrand lies over {0..L-1}^j, j >= 1, behind a leading axis of
+    size 1 or b.  Row r's output at w sums its product over the Omega with
+    sum(Omega) = w mod L; all rows go through one ``bincount``, row r's
+    frequency sums offset by r * L, so each accumulates in its order alone.
+    """
+    rows, L = s_hat.shape
+    j = integrand.ndim - 1
+    product = outer_power(s_hat, j)
+    # in place, integrand first: with FMA, complex products round differently when swapped
+    np.multiply(integrand, product, out=product)
+    sums = (_lattice_map(((1,) * j,), j, L).ravel() + L * np.arange(rows)[:, None]).ravel()
+    flat = product.ravel()
+    out = (
+        np.bincount(sums, weights=flat.real, minlength=rows * L)
+        + 1j * np.bincount(sums, weights=flat.imag, minlength=rows * L)
+    )
+    return out.reshape(rows, L) / L ** (j - 1)
 
 
 def weighted_pullback(m: Morphism, i, target_frf) -> np.ndarray:

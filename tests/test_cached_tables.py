@@ -1,10 +1,11 @@
-"""Property tests for the cached, read-only tables of the composition path.
+"""Property tests for the cached, read-only integer tables.
 
-The orbit table (symmetrizers) and the association label multisets are
-built once per integer shape; these checks compare every cached path with
-its definition on random shapes and data, and check that no cached table
-can be written.  The uncached pullback gather is checked against a
-pointwise loop.
+The orbit table (symmetrizers), the association label multisets and the
+frequency-lattice map (pullback gather and slice sum) are built once per
+integer shape; these checks compare every cached path with its definition
+on random shapes and data, and check that no cached table can be written.
+The pullback gather along the lattice map is checked against a pointwise
+loop.
 """
 
 import itertools
@@ -20,7 +21,7 @@ from volterra.algebra import composition_labels
 from volterra.combinatorics import multinomial
 from volterra.errors import ContractViolation
 from volterra.kernels import _orbit_buckets, symmetrize_plain, symmetrize_weighted
-from volterra.morphisms import pullback_gather
+from volterra.morphisms import _lattice_map, pullback_gather
 
 SETTINGS = settings(settings.get_profile("volterra"), max_examples=60)
 orders = st.integers(min_value=1, max_value=4)
@@ -85,8 +86,9 @@ def test_pullback_gather_rejects_target_off_the_grid():
     [
         lambda: _orbit_buckets(3, 4)[0],
         lambda: _orbit_buckets(3, 4)[1],
+        lambda: _lattice_map(((2, 1), (-1, 0)), 2, 5),
     ],
-    ids=["orbit-bucket", "orbit-counts"],
+    ids=["orbit-bucket", "orbit-counts", "lattice-map"],
 )
 def test_cached_tables_are_read_only(table):
     array = table()

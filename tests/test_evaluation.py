@@ -13,14 +13,10 @@ from volterra.evaluation import (
     eval_freq,
     eval_multivariate,
     eval_time,
-    index_sum_grid,
     oracle_eval,
-    outer_power,
-    project_diagonal,
     response_comb,
     response_exponential,
     _shift_matrix,
-    _slice_sum,
 )
 from volterra.kernels import (
     delta_kernel,
@@ -28,6 +24,7 @@ from volterra.kernels import (
     memoryless_polynomial_series,
     series_from_kernels,
 )
+from volterra.morphisms import _lattice_map, _slice_sum, outer_power
 
 
 def test_oracle_identity(rng):
@@ -242,10 +239,14 @@ def test_eval_freq_never_builds_the_dense_lattice(rng):
     assert peak <= 8 * 2**20
 
 
-@pytest.mark.parametrize("j, L", [(1, 5), (2, 4), (3, 3)])
+# The dense slice sum and its index-sum grid live in ``morphisms``, with the
+# lattice map they share with the pullback; eval_freq above never builds them.
+@pytest.mark.parametrize(
+    "j, L", sorted({(1, 5), (2, 4)} | {(j, L) for j in range(1, 5) for L in (1, 3, 8)})
+)
 def test_index_sum_grid_is_cached_read_only(j, L):
-    grid = index_sum_grid(j, L)
-    assert grid is index_sum_grid(j, L) and not grid.flags.writeable
+    grid = _lattice_map(((1,) * j,), j, L)
+    assert grid is _lattice_map(((1,) * j,), j, L) and not grid.flags.writeable
     assert np.array_equal(grid, np.indices((L,) * j).sum(axis=0) % L)
 
 
@@ -254,16 +255,18 @@ def test_slice_sum_steps_take_a_leading_batch_axis(j, L, rows, rng):
     spectra = np.stack([random_signal(L, rng) for _ in range(rows)])
     powers = outer_power(spectra, j)
     assert powers.shape == (rows,) + (L,) * j
-    projected = project_diagonal(powers, L, batched=True)
-    assert projected.shape == (rows, L)
     for r in range(rows):
         assert np.array_equal(powers[r], outer_power(spectra[r], j))
-        assert np.array_equal(projected[r], project_diagonal(powers[r], L))
     if j == 0:
         return
+    unit = np.ones((1,) + (L,) * j)
+    projected = _slice_sum(unit, spectra)
+    assert projected.shape == (rows, L)
+    for r in range(rows):  # each row scatters alone, in its own order
+        assert np.array_equal(projected[r], _slice_sum(unit, spectra[r : r + 1])[0])
     integrand = random_signal(L**j, rng).reshape((L,) * j)
     shared = _slice_sum(integrand[None], spectra)
     per_row = _slice_sum(powers, spectra)
     for r in range(rows):  # numpy may run the batched product as one loop across rows
-        assert rel_err(shared[r], _slice_sum(integrand, spectra[r])) <= 1e-14
-        assert rel_err(per_row[r], _slice_sum(powers[r], spectra[r])) <= 1e-14
+        assert rel_err(shared[r], _slice_sum(integrand[None], spectra[r : r + 1])[0]) <= 1e-14
+        assert rel_err(per_row[r], _slice_sum(powers[r][None], spectra[r : r + 1])[0]) <= 1e-14

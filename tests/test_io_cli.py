@@ -280,6 +280,10 @@ MALFORMED_SERIES = {
     "no order": {"version": 1, "memory": 2, "kernels": [{"index": 1, "data": [[1, 0]] * 4}]},
     "no index": {"version": 1, "memory": 2, "kernels": [{"order": 2, "data": [[1, 0]] * 4}]},
     "entry not object": {"version": 1, "memory": 2, "kernels": [[1, 2]]},
+    "order past numpy's axes": {"version": 1, "memory": 1, "kernels": [{**GOOD_KERNEL, "order": 100, "data": [[1, 0]]}]},
+    "order 20000": {"version": 1, "memory": 2, "kernels": [{**GOOD_KERNEL, "order": 20000}]},
+    "negative memory": {"version": 1, "memory": -2, "kernels": [GOOD_KERNEL]},
+    "bool in data": {"version": 1, "memory": 2, "kernels": [{**GOOD_KERNEL, "data": [[True, 0]] * 4}]},
 }
 
 
@@ -306,6 +310,13 @@ MALFORMED_MORPHISMS = {
     "mask not list": {"version": 1, "length": 4, "components": [{**GOOD_COMPONENT, "mask": "x"}]},
     "ragged matrix": {"version": 1, "length": 4, "components": [{**GOOD_COMPONENT, "matrix": [[1], [1, 0]]}]},
     "no target": {"version": 1, "length": 4, "components": [{"source": 1, "matrix": [[1]]}]},
+    "matrix 1e308": {"version": 1, "length": 4, "components": [{**GOOD_COMPONENT, "matrix": [[1e308]]}]},
+    "matrix 1.5": {"version": 1, "length": 4, "components": [{**GOOD_COMPONENT, "matrix": [[1.5]]}]},
+    "matrix true": {"version": 1, "length": 4, "components": [{**GOOD_COMPONENT, "matrix": [[True]]}]},
+    "matrix string": {"version": 1, "length": 4, "components": [{**GOOD_COMPONENT, "matrix": [["1"]]}]},
+    "3-d matrix": {"version": 1, "length": 4, "components": [{**GOOD_COMPONENT, "matrix": [[[1]]]}]},
+    "mask order 20000": {"version": 1, "length": 4, "components": [{**GOOD_COMPONENT, "mask_order": 20000}]},
+    "bool in mask": {"version": 1, "length": 4, "components": [{**GOOD_COMPONENT, "mask": [[1, False]] * 4}]},
 }
 
 
@@ -315,6 +326,59 @@ def test_load_morphism_rejects_malformed_manifest(case, tmp_path):
     path.write_text(json.dumps(MALFORMED_MORPHISMS[case]))
     with pytest.raises(ContractViolation, match="bad.vm"):
         io.load_morphism(path)
+
+
+def cli_argv(command, bad, tmp_path, rng):
+    """Arguments that make ``command`` read the file ``bad`` beside a good series."""
+    good = write_series(tmp_path, "v.vk", random_series(1, 2, rng))
+    return {
+        "info": ["info", "--series", str(bad)],
+        "morph": ["morph", "--check-naturality", "--morphism", str(bad), "--source", good, "--target", good],
+        "eval": ["eval", "--series", good, "--signal", str(bad), "--out", str(tmp_path / "out.csv")],
+    }[command]
+
+
+def assert_one_error_line(bad, capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MORPHISMS))
+def test_cli_morph_rejects_malformed_manifest(case, tmp_path, rng, capsys):
+    bad = tmp_path / "bad.vm"
+    bad.write_text(json.dumps(MALFORMED_MORPHISMS[case]))
+    assert main(cli_argv("morph", bad, tmp_path, rng)) == 1
+    assert_one_error_line(bad, capsys)
+
+
+DIGITS = "9" * 5000  # past Python's 4300-digit limit on int parsing
+RAW_MALFORMED = {
+    "5000-digit memory": ("info", "bad.vk", f'{{"version": 1, "memory": {DIGITS}, "kernels": []}}'),
+    "4000-digit order": (
+        "info", "bad.vk",
+        f'{{"version": 1, "memory": 2, "kernels": [{{"index": 1, "order": {DIGITS[:4000]}, "data": []}}]}}',
+    ),
+    "nesting past the recursion limit": ("info", "bad.vk", "[" * 100000 + "]" * 100000),
+    "non-UTF-8 series": ("info", "bad.vk", b'{"version": 1, "memory": 1, "kernels": [{"index": "\xff"}]}'),
+    "5000-digit length": ("morph", "bad.vm", f'{{"version": 1, "length": {DIGITS}, "components": []}}'),
+    "4000-digit mask order": (
+        "morph", "bad.vm",
+        f'{{"version": 1, "length": 4, "components": [{{"source": 1, "target": 1, "matrix": [[1]], '
+        f'"mask_order": {DIGITS[:4000]}, "mask": []}}]}}',
+    ),
+    "non-UTF-8 morphism": ("morph", "bad.vm", b'{"version": 1, "length": 4, "components": []}\xff'),
+    "non-UTF-8 signal": ("eval", "bad.csv", b"1.0,0.0\n\xff,1\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAW_MALFORMED))
+def test_cli_malformed_bytes_end_in_one_error_line(case, tmp_path, rng, capsys):
+    command, name, content = RAW_MALFORMED[case]
+    bad = tmp_path / name
+    bad.write_bytes(content if isinstance(content, bytes) else content.encode())
+    assert main(cli_argv(command, bad, tmp_path, rng)) == 1
+    assert_one_error_line(bad, capsys)
 
 
 def test_cli_morph_malformed_manifest_is_error(tmp_path, rng, capsys):

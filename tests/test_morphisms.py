@@ -56,6 +56,27 @@ def test_validate_flags_missing_index(rng):
     assert any("no image" in v for v in report.violations)
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [[[1.7]], [[1e308]], [[1.5]], [[True]], [["1"]], [[[1]]], [[1], [1, 0]], [[2**63]]],
+    ids=["fraction", "float-1e308", "float-1.5", "bool", "string", "3-d", "ragged", "past-int64"],
+)
+def test_morphism_rejects_a_matrix_that_is_no_2d_integer_array(matrix):
+    with pytest.raises(ContractViolation, match="frequency matrix at 1 must be a 2-d integer array"):
+        Morphism({1: 1}, {1: matrix}, {1: np.ones(L, dtype=complex)})
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [[[1]], np.eye(2, dtype=np.int32), np.array([[1, 0], [0, 1]], dtype=np.uint8), np.zeros((1, 0))],
+    ids=["list", "int32", "uint8", "empty"],
+)
+def test_morphism_stores_integer_matrices_as_contiguous_int64(matrix):
+    stored = Morphism({1: 1}, {1: matrix}, {1: np.ones(L, dtype=complex)}).matrices[1]
+    assert stored.dtype == np.int64 and stored.flags.c_contiguous
+    assert np.array_equal(stored, np.asarray(matrix))
+
+
 def test_weighted_pullback_identity(rng):
     V = random_series(2, 3, rng)
     m = lens_identity(V, L)

@@ -21,15 +21,7 @@ from volterra.actions import Multiplier, act_modulation, act_periodization, appl
 from volterra.algebra import compose_series, product_series, s_matrix, sum_series
 from volterra.combinatorics import WeakComposition, compositions
 from volterra.errors import ContractViolation, GridError
-from volterra.evaluation import (
-    _slice_sum,
-    comb_signal,
-    eval_freq,
-    eval_time,
-    oracle_eval,
-    outer_power,
-    response_comb,
-)
+from volterra.evaluation import comb_signal, eval_freq, eval_time, oracle_eval, response_comb
 from volterra.kernels import (
     VolterraKernel,
     VolterraSeries,
@@ -44,7 +36,9 @@ from volterra.morphisms import (
     catalog,
     check_naturality,
     lens_identity,
+    outer_power,
     pullback_gather,
+    _slice_sum,
 )
 
 SETTINGS = settings(settings.get_profile("volterra"), max_examples=50)
@@ -230,7 +224,7 @@ def slice_sum_reference(series, s_hat, weights=None):
         integrand = vfrf(kernel, L)
         if weights is not None:
             integrand = integrand * outer_power(weights, kernel.order)
-        out += _slice_sum(integrand, s_hat)
+        out += _slice_sum(integrand[None], s_hat[None])[0]
     return out
 
 
