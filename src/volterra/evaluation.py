@@ -3,16 +3,21 @@
 ``oracle_eval`` is the literal nested-loop reference implementation; every
 other evaluator in the package is tested against it.  The time path
 contracts each kernel over the delay lattice {0..M-1}^j against delayed
-copies of the input, and every such contraction shares ``_contract``.  Its
-first step, and each block of series composition in ``algebra``, contracts
-a tensor's leading axis against a matrix or a bank of shifted kernels
-through one helper, ``_contract_leading``: a reshape and a single matmul.
+copies of the input, and every such contraction shares ``_contract``.  Each
+block of series composition in ``algebra`` contracts a tensor's leading
+axis against a bank of shifted kernels through ``_contract_leading``: a
+reshape and a single matmul.
 
 The paper's frequency path, the projection-slice sum scaled by 1 / L**(j-1),
 is exactly the DFT of the time path on the inverse DFT of the input, and
 ``eval_freq`` computes it that way: this module builds nothing on the
-frequency lattice {0..L-1}^j.  The dense slice sum, for lens components
-whose integrands are no transform of the input, lives in ``morphisms``.
+frequency lattice {0..L-1}^j.  It is the package's only slice sum; a lens
+component in ``morphisms`` is ``eval_freq`` of its component series.
+
+The private ``_shift_matrix`` and ``_contract`` take leading batch axes, so
+that ``morphisms.check_naturality`` runs its trials as one time-path pass;
+each batch row equals the single-row call bit for bit.  The public
+evaluators take one 1-d signal.
 """
 
 from __future__ import annotations
@@ -79,13 +84,17 @@ def oracle_eval(series: VolterraSeries, s) -> np.ndarray:
 
 
 def _shift_matrix(s: np.ndarray, M: int) -> np.ndarray:
-    """Rows m = 0..M-1 hold the signal delayed by m samples: a read-only view."""
-    L = s.size
+    """Rows m = 0..M-1 hold the signal delayed by m samples: a read-only view.
+
+    Leading axes of s are a batch: the bank has shape s.shape[:-1] + (M, L).
+    """
+    L = s.shape[-1]
     if M > L:
         raise GridError(f"kernel memory {M} exceeds signal length {L}")
-    wrapped = np.concatenate([s[L - M + 1 :], s])  # wrapped[i] = s((i - M + 1) mod L)
+    wrapped = np.concatenate([s[..., L - M + 1 :], s], axis=-1)  # wrapped[i] = s((i - M + 1) mod L)
     step = wrapped.itemsize  # row m, column t reads wrapped[M - 1 - m + t]
-    bank = np.ndarray((M, L), wrapped.dtype, wrapped, (M - 1) * step, (-step, step))
+    strides = wrapped.strides[:-1] + (-step, step)
+    bank = np.ndarray(s.shape[:-1] + (M, L), wrapped.dtype, wrapped, (M - 1) * step, strides)
     bank.flags.writeable = False
     return bank
 
@@ -102,10 +111,18 @@ def _contract_leading(data: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
 
 def _contract(data: np.ndarray, mats) -> np.ndarray:
-    """sum_tau data(tau) prod_r mats[r][tau_r, t], one delay axis at a time."""
-    T = _contract_leading(data, mats[0])  # (..., t)
+    """sum_tau data(tau) prod_r mats[r][..., tau_r, t], one delay axis at a time.
+
+    Leading axes of the (M, L) banks are a batch, shared by all of them: the
+    result has shape mats[0].shape[:-2] + (L,).  The first axis is one matmul
+    per batch row, each of the single-row shape, so a row rounds as it would alone.
+    """
+    first = data.reshape(data.shape[0], -1).T @ mats[0]  # (..., rest of tau, t)
+    b = first.ndim - 2
+    delay_first = (b,) + tuple(range(b)) + (b + 1,)  # (..., tau_r, t) -> (tau_r, ..., t)
+    T = first.transpose(delay_first).reshape(data.shape[1:] + first.shape[:b] + first.shape[b + 1 :])
     for mat in mats[1:]:
-        T = np.einsum("a...t,at->...t", T, mat)
+        T = np.einsum("a...,a...->...", T, mat.transpose(delay_first))
     return T
 
 

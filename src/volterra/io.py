@@ -176,7 +176,7 @@ def _load_manifest(path) -> dict:
 
 def load_series(path) -> VolterraSeries:
     manifest = _load_manifest(path)
-    if manifest.get("version") != 1:
+    if _field(path, manifest, "version", int) != 1:
         raise ContractViolation(f"{path}: unsupported series manifest version")
     M = _field(path, manifest, "memory", int)
     kernels = {}
@@ -208,7 +208,7 @@ def save_morphism(path, m: Morphism):
 
 def load_morphism(path) -> Morphism:
     manifest = _load_manifest(path)
-    if manifest.get("version") != 1:
+    if _field(path, manifest, "version", int) != 1:
         raise ContractViolation(f"{path}: unsupported morphism manifest version")
     L = _field(path, manifest, "length", (int, type(None)))
     index_map, matrices, masks = {}, {}, {}

@@ -22,8 +22,8 @@ have ``setflags(write=False)``, the rest are tuples):
 * in ``algebra``, the association label multisets, keyed by
   ``(j, n_C, n_B, n_A, association)``, at most 256 entries;
 * in ``morphisms``, the frequency-lattice map of an integer matrix, keyed
-  by ``(rows, j, L)``, at most 16 entries of 8 L^j bytes each; the
-  pullback gather and the slice sum read it.
+  by ``(rows, j, L)``, at most 16 entries of 8 L^j bytes each; only the
+  pullback gather reads it.
 
 An orbit table holds 8 M^j bytes, half of one complex kernel of that shape.
 
@@ -168,13 +168,18 @@ def _orbit_buckets(order: int, memory: int):
     Returns the bucket id of every lattice point (the rank of its sorted
     delay multiset among all such multisets) and the size of every bucket.
     """
-    taus = list(np.indices((memory,) * order, dtype=np.min_scalar_type(memory)).reshape(order, -1))
+    shape, dtype = (memory,) * order, np.min_scalar_type(memory)
+    # one axis at a time: np.indices would need order + 1 axes, past numpy's 64 at order 64
+    taus = [np.broadcast_to(axis.astype(dtype), shape).ravel() for axis in np.indices(shape, sparse=True)]
     # odd-even transposition network: sorts each point's delays in place
     for step in range(order):
         for a in range(step % 2, order - 1, 2):
             lo, hi = np.minimum(taus[a], taus[a + 1]), np.maximum(taus[a], taus[a + 1])
             taus[a], taus[a + 1] = lo, hi
-    canon = np.ravel_multi_index(taus, (memory,) * order)
+    canon = np.zeros(memory**order, dtype=np.intp)  # flat index of the sorted point, by Horner
+    for tau in taus:
+        canon *= memory
+        canon += tau
     present = np.zeros(memory**order, dtype=bool)
     present[canon] = True
     bucket = (np.cumsum(present) - 1)[canon]

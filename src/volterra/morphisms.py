@@ -1,4 +1,4 @@
-"""Lens-map morphisms between Volterra series, and the frequency-lattice map.
+"""Lens-map morphisms between Volterra series.
 
 A morphism from V to W is (1) a map between index sets, (2) per source
 index an integer matrix taking source frequency vectors to target ones,
@@ -11,11 +11,12 @@ with the matrix and multiplies by the mask.
 Constant (order-0) terms carry no frequency argument and sit outside the
 lens data; morphisms are defined on the indices of order >= 1.
 
-The frequency-lattice map lives here: ``_lattice_map`` indexes M Omega mod
-L over {0..L-1}^j, and both of the paper's uses of it read that one table.
-``pullback_gather`` gathers a target tensor along it; ``_slice_sum``, the
-dense projection-slice sum of a lens component, scatters along it for the
-all-ones row, whose image of Omega is its frequency sum(Omega) mod L.
+A component's integrand mask_i . v_hat_i . w_hat(matrix_i Omega) is a
+kernel spectrum on {0..L-1}^j, so its inverse DFT is an ordinary kernel of
+memory L: the component is ``eval_freq`` of that component series, and
+``evaluation`` holds the package's only slice sum.  The frequency-lattice
+map ``_lattice_map`` (M Omega mod L over {0..L-1}^j) serves only the
+pullback gather.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .evaluation import _signal
+from .evaluation import _contract, _shift_matrix, _signal, eval_freq
 from .kernels import VolterraKernel, VolterraSeries, delta_kernel, vfrf
 
 __all__ = [
@@ -158,41 +159,6 @@ def pullback_gather(target_data: np.ndarray, matrix: np.ndarray, L: int) -> np.n
     return target_data.ravel()[_lattice_map(tuple(map(tuple, matrix.tolist())), src_order, L)]
 
 
-def outer_power(v: np.ndarray, j: int) -> np.ndarray:
-    """j-fold outer product v (x) v (x) ... (x) v over v's last axis.
-
-    Leading axes of v are a batch: the result has shape v.shape[:-1] + (L,) * j.
-    """
-    v = np.asarray(v)
-    lead, L = v.shape[:-1], v.shape[-1]
-    out = np.ones(lead, dtype=np.complex128)
-    for k in range(j):
-        out = out[..., None] * v.reshape(lead + (1,) * k + (L,))
-    return out
-
-
-def _slice_sum(integrand: np.ndarray, s_hat: np.ndarray) -> np.ndarray:
-    """Per row of s_hat (b, L): the slice sum of integrand . s_hat^(x)j, over L**(j-1).
-
-    The integrand lies over {0..L-1}^j, j >= 1, behind a leading axis of
-    size 1 or b.  Row r's output at w sums its product over the Omega with
-    sum(Omega) = w mod L; all rows go through one ``bincount``, row r's
-    frequency sums offset by r * L, so each accumulates in its order alone.
-    """
-    rows, L = s_hat.shape
-    j = integrand.ndim - 1
-    product = outer_power(s_hat, j)
-    # in place, integrand first: with FMA, complex products round differently when swapped
-    np.multiply(integrand, product, out=product)
-    sums = (_lattice_map(((1,) * j,), j, L).ravel() + L * np.arange(rows)[:, None]).ravel()
-    flat = product.ravel()
-    out = (
-        np.bincount(sums, weights=flat.real, minlength=rows * L)
-        + 1j * np.bincount(sums, weights=flat.imag, minlength=rows * L)
-    )
-    return out.reshape(rows, L) / L ** (j - 1)
-
-
 def weighted_pullback(m: Morphism, i, target_frf) -> np.ndarray:
     """mask(Omega) * w_hat(matrix @ Omega mod L) over the source lattice."""
     L = m.length
@@ -205,62 +171,45 @@ def weighted_pullback(m: Morphism, i, target_frf) -> np.ndarray:
     return mask * pulled
 
 
-def _integrands(m: Morphism, V: VolterraSeries, W: VolterraSeries, L: int) -> list:
-    """mask_i . v_hat_i . w_hat(matrix_i @ Omega) per source index of order >= 1; signal-free."""
+def _component_series(m: Morphism, V: VolterraSeries, W: VolterraSeries, L: int) -> VolterraSeries:
+    """The component series: per source index i of order >= 1, the memory-L
+    kernel of spectrum mask_i . v_hat_i . w_hat(matrix_i @ Omega)."""
     if m.length is not None and m.length != L:
         raise ContractViolation(f"morphism masks built for length {m.length}, spectrum has {L}")
-    return [
-        vfrf(V.kernels[i], L) * weighted_pullback(m, i, vfrf(W.kernels[target], L))
-        for i, target in m.index_map.items()
-        if V.kernels[i].order >= 1
-    ]
+    kernels = {}
+    for i, target in m.index_map.items():
+        kernel = V.kernels[i]
+        if kernel.order >= 1:
+            integrand = vfrf(kernel, L) * weighted_pullback(m, i, vfrf(W.kernels[target], L))
+            kernels[i] = VolterraKernel._fresh(kernel.order, L, np.fft.ifftn(integrand))
+    return VolterraSeries(kernels)
 
 
-# Naturality trials go through _component in chunks whose batch tensor
-# (rows x L**j entries) stays within this many entries.
-_BATCH_ENTRIES = 1 << 15
-
-
-def _component(integrands: list, s_hat: np.ndarray, post=None) -> np.ndarray:
-    """Per row of s_hat (b, L), the sum of the integrands' slice sums.
-
-    Each integrand is weighted by the matching row's post^(x)j if given.
-    """
-    out = np.zeros(s_hat.shape, dtype=np.complex128)
-    for integrand in integrands:
-        if post is None:
-            integrand = integrand[None]
-        else:  # in place, integrand first, as in _slice_sum
-            weighted = outer_power(post, integrand.ndim)
-            integrand = np.multiply(integrand, weighted, out=weighted)
-        out += _slice_sum(integrand, s_hat)
-    return out
-
-
-def apply_component(
-    m: Morphism,
-    V: VolterraSeries,
-    W: VolterraSeries,
-    s_hat,
-    post_weights=None,
-) -> np.ndarray:
+def apply_component(m: Morphism, V: VolterraSeries, W: VolterraSeries, s_hat) -> np.ndarray:
     """The component of the morphism at the signal, as an output spectrum.
 
     phi_s(w) = sum_i (1/L**([i]-1)) sum_{sum(Omega)=w}
-               (mask_i . v_hat_i . s_hat^(x)[i])(Omega) * w_hat(matrix_i @ Omega).
+               (mask_i . v_hat_i . s_hat^(x)[i])(Omega) * w_hat(matrix_i @ Omega),
 
-    ``post_weights``, if given, multiplies the assembled integrand by the
-    tensor power of a multiplier's weight vector: the target-side leg of
-    the naturality square.  It must have the spectrum's length.
+    that is ``eval_freq`` of the component series, whose kernel i has the
+    spectrum mask_i . v_hat_i . w_hat(matrix_i @ Omega).
     """
     s_hat = _signal(s_hat)
-    post = None
-    if post_weights is not None:
-        post = _signal(post_weights)
-        if post.size != s_hat.size:
-            raise ContractViolation("weight vector length must match the spectrum")
-        post = post[None]
-    return _component(_integrands(m, V, W, s_hat.size), s_hat[None], post)[0]
+    return eval_freq(_component_series(m, V, W, s_hat.size), s_hat)
+
+
+# Naturality trials run through the time path in chunks whose widest
+# intermediate (rows x L**j entries) stays within this many entries.
+_BATCH_ENTRIES = 1 << 15
+
+
+def _eval_rows(kernels: list, signals: np.ndarray) -> np.ndarray:
+    """``eval_time`` of memory-L kernel tensors on each row of signals (b, L)."""
+    out = np.zeros(signals.shape, dtype=np.complex128)
+    bank = _shift_matrix(signals, signals.shape[-1])
+    for data in kernels:
+        out += _contract(data, [bank] * data.ndim)
+    return out
 
 
 def check_naturality(
@@ -271,20 +220,23 @@ def check_naturality(
     rng=None,
     L: int | None = None,
 ) -> float:
-    """Max deviation between the two legs of the naturality square.
+    """Max deviation between the two legs of the naturality square for translation.
 
-    For random multipliers f and signals s, compares the component applied
-    after the input-side action of f against the target-side weighting of
-    the assembled component integrand.  For mask-and-pullback components
-    both legs are the same integrand product in a different order, so the
-    residual measures rounding.  ``trials`` must be an integer >= 1.
+    The base morphism is the one-sample translation T, whose powers are
+    every translation.  One leg applies T to the input: the component at
+    gamma . s_hat, gamma(w) = exp(-2i pi w / L).  The other applies T to the
+    target and pulls it back through each matrix: the component series with
+    kernel i rolled by the column sums 1^T matrix_i along its axes.  The
+    legs agree to rounding exactly when every column sum is 1 mod L, the
+    lens law; otherwise the residual is of the size of the component.
+    ``trials`` must be an integer >= 1.
 
-    The trials run as batches through the slice sum of ``apply_component``:
-    each chunk stacks as many trials as keep its batch tensor within
-    ``_BATCH_ENTRIES`` entries at the highest order (at least one trial),
-    so memory stays bounded whatever ``trials`` is.  Each trial draws its
-    signal and then its multiplier from ``rng``, in trial order, and the
-    residual equals that of a loop of ``apply_component`` pairs.
+    Each trial draws one spectrum s_hat from ``rng`` (2L normals: real
+    parts, then imaginary).  The trials run as batches through the time
+    path of ``eval_freq``: each chunk stacks as many trials as keep its
+    widest intermediate within ``_BATCH_ENTRIES`` entries at the highest
+    order (at least one trial), so memory stays bounded whatever ``trials``
+    is, and the residual matches a loop of ``eval_freq`` pairs.
     """
     try:
         trials = operator.index(trials)
@@ -296,18 +248,20 @@ def check_naturality(
     L = L if L is not None else m.length
     if L is None:
         raise ContractViolation("cannot infer grid length from an empty morphism")
-    integrands = _integrands(m, V, W, L)
-    size = max((integrand.size for integrand in integrands), default=1)
-    rows = max(1, _BATCH_ENTRIES // size)
+    series = _component_series(m, V, W, L)
+    kernels = [kernel.data for kernel in series.kernels.values()]
+    translated = [
+        np.roll(kernel.data, m.matrices[i].sum(axis=0), axis=tuple(range(kernel.order)))
+        for i, kernel in series.kernels.items()
+    ]
+    rows = max(1, _BATCH_ENTRIES // max((data.size for data in kernels), default=1))
+    gamma = np.exp(-2j * np.pi * np.arange(L) / L)
     worst = 0.0
     for start in range(0, trials, rows):
-        s_hat = np.empty((min(rows, trials - start), L), dtype=np.complex128)
-        gamma = np.empty_like(s_hat)
-        for r in range(s_hat.shape[0]):
-            s_hat[r] = rng.standard_normal(L) + 1j * rng.standard_normal(L)
-            gamma[r] = rng.standard_normal(L) + 1j * rng.standard_normal(L)
-        through_input = _component(integrands, gamma * s_hat)
-        through_target = _component(integrands, s_hat, post=gamma)
+        draws = rng.standard_normal((min(rows, trials - start), 2, L))
+        s_hat = draws[:, 0] + 1j * draws[:, 1]
+        through_input = np.fft.fft(_eval_rows(kernels, np.fft.ifft(gamma * s_hat)))
+        through_target = np.fft.fft(_eval_rows(translated, np.fft.ifft(s_hat)))
         worst = max(worst, float(np.max(np.abs(through_input - through_target))))
     return worst
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from volterra.kernels import VolterraKernel, VolterraSeries, constant_kernel
+from volterra.kernels import VolterraKernel, VolterraSeries, constant_kernel, zero_pad
+from volterra.morphisms import apply_component
 
 # One hypothesis profile for every property test.  No per-example deadline:
 # a busy host can stall any single example without the code being slow.
@@ -37,6 +38,35 @@ def rel_err(got, want):
 
 def max_abs(a):
     return float(np.max(np.abs(np.asarray(a))))
+
+
+def translated_target(W, L):
+    """T W on the length-L circle: each kernel of order >= 1 delayed by one sample."""
+    return VolterraSeries(
+        {
+            i: k if k.order == 0 else VolterraKernel(
+                k.order, L, np.roll(zero_pad(k, L).data, 1, axis=tuple(range(k.order)))
+            )
+            for i, k in W.kernels.items()
+        }
+    )
+
+
+def naturality_loop(m, V, W, trials, seed, L):
+    """check_naturality's residual as a loop of apply_component pairs on the same draws.
+
+    One leg translates the input by one sample, the other the target.
+    """
+    draws = np.random.default_rng(seed)
+    gamma = np.exp(-2j * np.pi * np.arange(L) / L)  # spectrum of the one-sample delay
+    target = translated_target(W, L)
+    worst = 0.0
+    for _ in range(trials):
+        s_hat = draws.standard_normal(L) + 1j * draws.standard_normal(L)
+        through_input = apply_component(m, V, W, gamma * s_hat)
+        through_target = apply_component(m, V, target, s_hat)
+        worst = max(worst, max_abs(through_input - through_target))
+    return worst
 
 
 @pytest.fixture

@@ -1,7 +1,7 @@
 """Property tests for the cached, read-only integer tables.
 
 The orbit table (symmetrizers), the association label multisets and the
-frequency-lattice map (pullback gather and slice sum) are built once per
+frequency-lattice map (pullback gather) are built once per
 integer shape; these checks compare every cached path with its definition
 on random shapes and data, and check that no cached table can be written.
 The pullback gather along the lattice map is checked against a pointwise
@@ -51,6 +51,16 @@ def test_symmetrize_weighted_is_multinomial_definition(j, M, seed):
         multiplicities = [tau.count(v) for v in set(tau)]
         want[tau] = total[tau] / multinomial(j, multiplicities)
     assert np.max(np.abs(symmetrize_weighted(kernel).data - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("j", range(1, 5))
+@pytest.mark.parametrize("M", range(1, 7))
+def test_orbit_table_ranks_sorted_delay_multisets(j, M):
+    points = list(itertools.product(range(M), repeat=j))  # in flat-index order
+    rank = {tau: r for r, tau in enumerate(sorted({tuple(sorted(tau)) for tau in points}))}
+    bucket, counts = _orbit_buckets(j, M)
+    assert np.array_equal(bucket, [rank[tuple(sorted(tau))] for tau in points])
+    assert np.array_equal(counts, np.bincount(bucket)) and counts.sum() == M**j
 
 
 def gather_by_loop(target, matrix, L):

@@ -16,6 +16,7 @@ from volterra.evaluation import (
     oracle_eval,
     response_comb,
     response_exponential,
+    _contract,
     _shift_matrix,
 )
 from volterra.kernels import (
@@ -24,7 +25,7 @@ from volterra.kernels import (
     memoryless_polynomial_series,
     series_from_kernels,
 )
-from volterra.morphisms import _lattice_map, _slice_sum, outer_power
+from volterra.morphisms import _lattice_map
 
 
 def test_oracle_identity(rng):
@@ -239,8 +240,8 @@ def test_eval_freq_never_builds_the_dense_lattice(rng):
     assert peak <= 8 * 2**20
 
 
-# The dense slice sum and its index-sum grid live in ``morphisms``, with the
-# lattice map they share with the pullback; eval_freq above never builds them.
+# The lattice map lives in ``morphisms`` and serves the pullback gather; on
+# the all-ones row it is the index-sum grid, which eval_freq above never builds.
 @pytest.mark.parametrize(
     "j, L", sorted({(1, 5), (2, 4)} | {(j, L) for j in range(1, 5) for L in (1, 3, 8)})
 )
@@ -250,23 +251,21 @@ def test_index_sum_grid_is_cached_read_only(j, L):
     assert np.array_equal(grid, np.indices((L,) * j).sum(axis=0) % L)
 
 
+# check_naturality evaluates its trials' slice sums as one batched time-path pass
 @pytest.mark.parametrize("j, L, rows", [(0, 4, 3), (1, 5, 1), (2, 4, 3), (3, 3, 5)])
 def test_slice_sum_steps_take_a_leading_batch_axis(j, L, rows, rng):
-    spectra = np.stack([random_signal(L, rng) for _ in range(rows)])
-    powers = outer_power(spectra, j)
-    assert powers.shape == (rows,) + (L,) * j
-    for r in range(rows):
-        assert np.array_equal(powers[r], outer_power(spectra[r], j))
-    if j == 0:
-        return
-    unit = np.ones((1,) + (L,) * j)
-    projected = _slice_sum(unit, spectra)
-    assert projected.shape == (rows, L)
-    for r in range(rows):  # each row scatters alone, in its own order
-        assert np.array_equal(projected[r], _slice_sum(unit, spectra[r : r + 1])[0])
-    integrand = random_signal(L**j, rng).reshape((L,) * j)
-    shared = _slice_sum(integrand[None], spectra)
-    per_row = _slice_sum(powers, spectra)
-    for r in range(rows):  # numpy may run the batched product as one loop across rows
-        assert rel_err(shared[r], _slice_sum(integrand[None], spectra[r : r + 1])[0]) <= 1e-14
-        assert rel_err(per_row[r], _slice_sum(powers[r][None], spectra[r : r + 1])[0]) <= 1e-14
+    signals = np.stack([random_signal(L, rng) for _ in range(rows)])
+    for M in range(1, L + 1):
+        bank = _shift_matrix(signals, M)
+        assert bank.shape == (rows, M, L) and not bank.flags.writeable
+        for r in range(rows):
+            assert np.array_equal(bank[r], _shift_matrix(signals[r], M))
+        if j == 0:
+            continue
+        data = random_kernel(j, M, rng).data
+        batched = _contract(data, [bank] * j)
+        assert batched.shape == (rows, L)
+        for r in range(rows):  # each row rounds as it would alone
+            assert np.array_equal(batched[r], _contract(data, [_shift_matrix(signals[r], M)] * j))
+        stacked = _contract(data, [_shift_matrix(signals[:, None], M)] * j)  # two batch axes
+        assert stacked.shape == (rows, 1, L) and np.array_equal(stacked[:, 0], batched)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from volterra import io
 from volterra.errors import ContractViolation
 from volterra.cli import main
 from volterra.evaluation import eval_time
-from volterra.kernels import VolterraSeries, zero_pad
+from volterra.kernels import VolterraSeries, symmetrize_plain, symmetrize_weighted, zero_pad
 from volterra.morphisms import catalog
 from volterra.tfd import PolynomialPhase, chirp
 
@@ -284,6 +285,8 @@ MALFORMED_SERIES = {
     "order 20000": {"version": 1, "memory": 2, "kernels": [{**GOOD_KERNEL, "order": 20000}]},
     "negative memory": {"version": 1, "memory": -2, "kernels": [GOOD_KERNEL]},
     "bool in data": {"version": 1, "memory": 2, "kernels": [{**GOOD_KERNEL, "data": [[True, 0]] * 4}]},
+    "version true": {"version": True, "memory": 2, "kernels": [GOOD_KERNEL]},
+    "version 1.0": {"version": 1.0, "memory": 2, "kernels": [GOOD_KERNEL]},
 }
 
 
@@ -294,9 +297,19 @@ def test_load_series_rejects_malformed_manifest(case, tmp_path, capsys):
     with pytest.raises(ContractViolation, match="bad.vk"):
         io.load_series(path)
     assert main(["info", "--series", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert_one_error_line(path, capsys)
+
+
+def test_cli_info_reads_an_order_64_kernel(tmp_path, capsys):
+    # numpy's 64 axes: the orbit table of {0}^64 must not build an index grid of 65
+    path = tmp_path / "order64.vk"
+    path.write_text(json.dumps({"version": 1, "memory": 1, "kernels": [{**GOOD_KERNEL, "order": 64, "data": [[2.0, 1.0]]}]}))
+    assert main(["info", "--series", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [entry["symmetric"] for entry in payload["kernels"]] == [True]
+    kernel = io.load_series(path).kernels[1]
+    assert symmetrize_plain(kernel).data == kernel.data
+    assert symmetrize_weighted(kernel).data == kernel.data * float(math.factorial(64))
 
 
 GOOD_COMPONENT = {
@@ -317,6 +330,8 @@ MALFORMED_MORPHISMS = {
     "3-d matrix": {"version": 1, "length": 4, "components": [{**GOOD_COMPONENT, "matrix": [[[1]]]}]},
     "mask order 20000": {"version": 1, "length": 4, "components": [{**GOOD_COMPONENT, "mask_order": 20000}]},
     "bool in mask": {"version": 1, "length": 4, "components": [{**GOOD_COMPONENT, "mask": [[1, False]] * 4}]},
+    "version true": {"version": True, "length": 4, "components": [GOOD_COMPONENT]},
+    "version 1.0": {"version": 1.0, "length": 4, "components": [GOOD_COMPONENT]},
 }
 
 

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import max_abs, random_series, random_signal, rel_err
+from conftest import max_abs, naturality_loop, random_series, random_signal, rel_err
 from volterra.errors import ContractViolation
 from volterra.evaluation import eval_freq
 from volterra.kernels import VolterraKernel, VolterraSeries, delta_kernel, vfrf
@@ -173,25 +173,20 @@ def test_check_naturality_rejects_a_non_integer_trial_count(trials, rng):
     assert check_naturality(m, V, W, trials=np.int64(2), rng=1) <= 1e-12
 
 
-def test_apply_component_rejects_post_weights_of_the_wrong_length(rng):
-    V = random_series(2, 3, rng)
-    W, m = catalog("identity", V, L)
-    s_hat = random_signal(L, rng)
-    with pytest.raises(ContractViolation, match="weight vector length"):
-        apply_component(m, V, W, s_hat, post_weights=random_signal(L - 1, rng))
-
-
-def naturality_loop(m, V, W, trials, seed, length):
-    """check_naturality's residual as a loop of apply_component pairs on the same draws."""
-    draws = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        s_hat = draws.standard_normal(length) + 1j * draws.standard_normal(length)
-        gamma = draws.standard_normal(length) + 1j * draws.standard_normal(length)
-        through_input = apply_component(m, V, W, gamma * s_hat)
-        through_target = apply_component(m, V, W, s_hat, post_weights=gamma)
-        worst = max(worst, max_abs(through_input - through_target))
-    return worst
+@pytest.mark.parametrize(
+    "matrix",
+    [[[2]], [[2, 1], [1, 0]]],
+    ids=["column sum 2", "column sum 3"],
+)
+def test_check_naturality_fails_when_a_column_sum_is_not_one(matrix, rng):
+    # T on the target pulled back through the matrix delays axis q by its column
+    # sum, T on the input by one sample: the legs differ unless every sum is 1 mod L
+    j = len(matrix[0])
+    V, W = random_series(j, 3, rng), random_series(len(matrix), 3, rng)
+    m = Morphism({j: len(matrix)}, {j: np.array(matrix)}, {j: np.ones((L,) * j, dtype=complex)})
+    residual = check_naturality(m, V, W, trials=20, rng=1)
+    assert residual > 1
+    assert abs(residual - naturality_loop(m, V, W, 20, 1, L)) <= 1e-12
 
 
 NATURALITY_PARAMS = {"translation": {1: (1,), 2: (2, 1), 3: (1, 0, 2)}, "sampling": 2, "smoothing": 0.6}
@@ -207,9 +202,9 @@ def test_check_naturality_chunks_match_a_loop_of_components(kind, rng):
     draws = np.random.default_rng(5)
     got = check_naturality(m, V, W, trials=trials, rng=draws)
     assert abs(got - naturality_loop(m, V, W, trials, 5, length)) <= 1e-12
-    # each trial draws 4 * length normals: the signal's and the multiplier's parts
+    # each trial draws 2 * length normals: the real and the imaginary parts of its spectrum
     reference = np.random.default_rng(5)
-    reference.standard_normal(4 * length * trials)
+    reference.standard_normal(2 * length * trials)
     assert draws.standard_normal() == reference.standard_normal()
 
 

@@ -1,11 +1,13 @@
 """Property tests of the evaluation core on random series, j <= 3, M <= 4, L <= 12.
 
-``eval_freq`` runs the time path on the inverse DFT of its input, and the
-lens components of ``morphisms`` the dense projection-slice sum; these
-checks tie each path to an independent one: the nested-loop oracle, the
-slice sum, the DFT of the time path, and the time path on the transformed
-input.  The interconnection laws (sum, product, composition) are checked
-the same way on pairs of series with j <= 2, M <= 3 and composite memory
+``eval_freq`` runs the time path on the inverse DFT of its input, and a
+lens component of ``morphisms`` is ``eval_freq`` of its component series;
+these checks tie each path to an independent one: the nested-loop oracle,
+a literal projection-slice sum, the DFT of the time path, and the time path
+on the transformed input.  The naturality check is tied to a loop of
+component pairs and to the lens law on random integer matrices.  The
+interconnection laws (sum, product, composition) are checked the same way
+on pairs of series with j <= 2, M <= 3 and composite memory
 M_A + M_B - 1 <= L.  The time-domain composite kernels are checked against
 the paper's spectral formula on series whose orders have their own
 memories, with orders missing and a constant in the outer series.
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import max_abs, random_kernel, random_series, random_signal, rel_err
+from conftest import max_abs, naturality_loop, random_kernel, random_series, random_signal, rel_err
 from volterra.actions import Multiplier, act_modulation, act_periodization, apply_action
 from volterra.algebra import compose_series, product_series, s_matrix, sum_series
 from volterra.combinatorics import WeakComposition, compositions
@@ -32,13 +34,12 @@ from volterra.kernels import (
 )
 from volterra.morphisms import (
     CATALOG_KINDS,
+    Morphism,
     apply_component,
     catalog,
     check_naturality,
     lens_identity,
-    outer_power,
     pullback_gather,
-    _slice_sum,
 )
 
 SETTINGS = settings(settings.get_profile("volterra"), max_examples=50)
@@ -214,17 +215,19 @@ def test_compose_series_matches_spectral_formula(pair):
 
 
 def slice_sum_reference(series, s_hat, weights=None):
-    """The dense projection-slice sum, with the weight tensor as its own factor."""
+    """The dense projection-slice sum over {0..L-1}^j, with the weight tensor as its own factor."""
     L = s_hat.size
     out = np.zeros(L, dtype=np.complex128)
     for kernel in series.kernels.values():
-        if kernel.order == 0:
+        j = kernel.order
+        if j == 0:
             out[0] += complex(kernel.data) * L
             continue
-        integrand = vfrf(kernel, L)
+        omega = np.indices((L,) * j).reshape(j, -1)
+        terms = vfrf(kernel, L).ravel() * np.prod(s_hat[omega], axis=0)
         if weights is not None:
-            integrand = integrand * outer_power(weights, kernel.order)
-        out += _slice_sum(integrand[None], s_hat[None])[0]
+            terms = terms * np.prod(weights[omega], axis=0)
+        np.add.at(out, omega.sum(axis=0) % L, terms / L ** (j - 1))  # slice sum(Omega) = w mod L
     return out
 
 
@@ -266,15 +269,33 @@ def test_check_naturality_is_loop_of_apply_component_pairs(kind, j, M, L, seed, 
     params = {"translation": param, "sampling": param + 1, "smoothing": 0.7}.get(kind)
     W, m = catalog(kind, V, L, params=params)
     trials = 3
-    draws = np.random.default_rng(seed)
-    want = 0.0
-    for _ in range(trials):
-        s_hat = draws.standard_normal(L) + 1j * draws.standard_normal(L)
-        gamma = draws.standard_normal(L) + 1j * draws.standard_normal(L)
-        through_input = apply_component(m, V, W, gamma * s_hat)
-        through_target = apply_component(m, V, W, s_hat, post_weights=gamma)
-        want = max(want, max_abs(through_input - through_target))
+    want = naturality_loop(m, V, W, trials, seed, L)
     assert abs(check_naturality(m, V, W, trials=trials, rng=seed) - want) <= 1e-12
+
+
+@SETTINGS
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=12),
+    st.booleans(),
+    st.data(),
+)
+def test_check_naturality_passes_exactly_when_column_sums_are_one(j, k, L, lawful, data):
+    """The translation square closes iff 1^T matrix = 1^T mod L: the lens law."""
+    entries = st.lists(st.integers(-3, 3), min_size=k * j, max_size=k * j)
+    matrix = np.array(data.draw(entries), dtype=np.int64).reshape(k, j)
+    if lawful:  # make the column sums 1 mod L through the last row
+        matrix[-1] += 1 - matrix.sum(axis=0) + L * data.draw(st.integers(-1, 1))
+    rng = np.random.default_rng(data.draw(SEEDS))
+    V = VolterraSeries({"v": random_kernel(j, data.draw(st.integers(1, min(L, 3))), rng)})
+    W = VolterraSeries({"w": random_kernel(k, data.draw(st.integers(1, min(L, 3))), rng)})
+    m = Morphism({"v": "w"}, {"v": matrix}, {"v": np.ones((L,) * j, dtype=np.complex128)})
+    residual = check_naturality(m, V, W, trials=5, rng=rng)
+    if np.all((matrix.sum(axis=0) - 1) % L == 0):
+        assert residual <= 1e-9
+    else:
+        assert residual > 1e-6
 
 
 @SETTINGS
