@@ -2,7 +2,9 @@
 
 A spectral multiplier weights each frequency of the input; applying a
 series to it inserts the tensor power of the weight vector into every
-slot of the projection-slice sum.  All four worked actions are evaluators
+slot of the projection-slice sum.  ``apply_action`` is the only place a
+multiplier meets a spectrum; ``act_periodization`` and
+``induced_linear_kernel`` call it.  All four worked actions are evaluators
 on a transformed input: translation on the shifted input (with a
 commutation check), modulation on the rolled spectrum, periodization with
 the comb's spectrum as multiplier, sampling on the comb-multiplied input.
@@ -57,11 +59,16 @@ def compose_multipliers(g: Multiplier, f: Multiplier) -> Multiplier:
 def apply_action(series: VolterraSeries, m: Multiplier, s_hat) -> np.ndarray:
     """V(m)(s_hat): weight every input slot of the projection-slice sum by gamma.
 
-    Equals eval_freq(series, gamma * s_hat), which is how it is computed:
-    the weights fold into the spectrum, and multiplying by 1 + 0j is exact,
-    so the identity multiplier is preserved bit for bit.
+    The package's only application of a multiplier to a spectrum.  Since
+    gamma^(x)j . s_hat^(x)j = (gamma . s_hat)^(x)j, it is computed as
+    eval_freq(series, gamma * s_hat) for gamma of the spectrum's length.
+    Multiplying by 1 + 0j is exact, so the identity multiplier is
+    preserved bit for bit.
     """
-    return eval_freq(series, s_hat, weights=m.weights)
+    s_hat = _signal(s_hat)
+    if m.length != s_hat.size:
+        raise ContractViolation("weight vector length must match the spectrum")
+    return eval_freq(series, m.weights * s_hat)
 
 
 def act_translation(series: VolterraSeries, s, d: int, tol: float = 1e-10) -> np.ndarray:
@@ -127,20 +134,17 @@ class InducedMultiplier:
     excluded_bins: tuple[int, ...]
 
 
-def induced_linear_kernel(
-    series: VolterraSeries, m: Multiplier, s_hat, eps: float | None = None
-) -> InducedMultiplier:
+def induced_linear_kernel(series: VolterraSeries, m: Multiplier, s_hat) -> InducedMultiplier:
     """Bin-wise quotient V(m(s))_hat / V(s)_hat on the support of the latter.
 
-    eps defaults to 1e-9 * max |V(s)_hat|; bins below it are excluded and
-    reported (cancellations make the quotient meaningless there).
+    Bins below 1e-9 * max |V(s)_hat| are excluded and reported
+    (cancellations make the quotient meaningless there).
     """
     s_hat = _signal(s_hat)
     ref = eval_freq(series, s_hat)
-    img = eval_freq(series, m.weights * s_hat)
-    scale = float(np.max(np.abs(ref))) if ref.size else 0.0
-    threshold = (1e-9 * scale) if eps is None else eps
-    excluded = (np.abs(ref) < threshold) | (scale == 0.0)
+    img = apply_action(series, m, s_hat)
+    scale = float(np.max(np.abs(ref)))
+    excluded = (np.abs(ref) < 1e-9 * scale) | (scale == 0.0)
     weights = np.zeros_like(ref)
     weights[~excluded] = img[~excluded] / ref[~excluded]
     return InducedMultiplier(Multiplier(weights), tuple(np.flatnonzero(excluded).tolist()))

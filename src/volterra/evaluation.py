@@ -12,7 +12,8 @@ The paper's frequency path, the projection-slice sum scaled by 1 / L**(j-1),
 is exactly the DFT of the time path on the inverse DFT of the input, and
 ``eval_freq`` computes it that way: this module builds nothing on the
 frequency lattice {0..L-1}^j.  It is the package's only slice sum; a lens
-component in ``morphisms`` is ``eval_freq`` of its component series.
+component in ``morphisms`` is ``eval_freq`` of its component series, and
+a multiplier's weights meet a spectrum only in ``actions.apply_action``.
 
 The private ``_shift_matrix`` and ``_contract`` take leading batch axes, so
 that ``morphisms.check_naturality`` runs its trials as one time-path pass;
@@ -144,24 +145,16 @@ def eval_time(series: VolterraSeries, s) -> np.ndarray:
     return y
 
 
-def eval_freq(series: VolterraSeries, s_hat, weights=None) -> np.ndarray:
+def eval_freq(series: VolterraSeries, s_hat) -> np.ndarray:
     """Output spectrum of the projection-slice formula, computed as fft . eval_time . ifft.
 
     y_hat(w) = sum_j (1/L**(j-1)) * sum_{sum(Omega) = w mod L}
                v_hat_j(Omega) prod_q s_hat(omega_q),
     plus v0 * L at bin 0 for the constant term.  For memory M <= L that is
     exactly the DFT of ``eval_time`` on ifft(s_hat); M > L raises
-    ``GridError``.  ``weights``, if given, is a spectral weight vector applied
-    to every input slot (the action of a multiplier on the series); since
-    w^(x)j . s_hat^(x)j = (w . s_hat)^(x)j, it is folded into the spectrum.
+    ``GridError``.  A multiplier is applied only by ``actions.apply_action``.
     """
-    s_hat = _signal(s_hat)
-    if weights is not None:
-        weights = _signal(weights)
-        if weights.size != s_hat.size:
-            raise ContractViolation("weight vector length must match the spectrum")
-        s_hat = weights * s_hat
-    return np.fft.fft(eval_time(series, np.fft.ifft(s_hat)))
+    return np.fft.fft(eval_time(series, np.fft.ifft(_signal(s_hat))))
 
 
 @dataclass(frozen=True)

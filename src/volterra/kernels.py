@@ -288,9 +288,6 @@ class VolterraSeries:
     def indices(self) -> tuple:
         return tuple(self.kernels)
 
-    def order_of(self, index) -> int:
-        return self.kernels[index].order
-
     def orders(self) -> tuple[int, ...]:
         return self._orders
 

@@ -3,8 +3,9 @@
 A morphism from V to W is (1) a map between index sets, (2) per source
 index an integer matrix taking source frequency vectors to target ones,
 and (3) a complex mask over the source frequency lattice.  The matrix must
-have all column sums equal to 1: that is the discrete form of preserving
-the frequency sum, since 1^T M = 1^T forces sum(M Omega) = sum(Omega) mod L.
+have all column sums equal to 1 mod L (exactly 1 while no mask fixes L):
+that is the discrete form of preserving the frequency sum, since
+1^T M = 1^T mod L forces sum(M Omega) = sum(Omega) mod L.
 The backward (weighted pullback) map precomposes a target kernel spectrum
 with the matrix and multiplies by the mask.
 
@@ -82,9 +83,6 @@ class Morphism:
                 return mask.shape[0]
         return None
 
-    def source_indices(self) -> tuple:
-        return tuple(self.index_map)
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -122,9 +120,10 @@ def validate_morphism(m: Morphism, V: VolterraSeries, W: VolterraSeries) -> Vali
                 )
             elif src_order > 0:
                 sums = mat.sum(axis=0)
-                if not np.all(sums == 1):
+                if np.any(sums - 1 if L is None else (sums - 1) % L):
+                    rule = "equal 1" if L is None else f"be 1 mod {L}"
                     problems.append(
-                        f"matrix at {i!r} has column sums {sums.tolist()}, all must equal 1"
+                        f"matrix at {i!r} has column sums {sums.tolist()}, all must {rule}"
                     )
         mask = m.masks.get(i)
         if mask is None:
@@ -213,12 +212,7 @@ def _eval_rows(kernels: list, signals: np.ndarray) -> np.ndarray:
 
 
 def check_naturality(
-    m: Morphism,
-    V: VolterraSeries,
-    W: VolterraSeries,
-    trials: int = 20,
-    rng=None,
-    L: int | None = None,
+    m: Morphism, V: VolterraSeries, W: VolterraSeries, trials: int = 20, rng=None
 ) -> float:
     """Max deviation between the two legs of the naturality square for translation.
 
@@ -245,7 +239,7 @@ def check_naturality(
     if trials < 1:
         raise ContractViolation(f"naturality check needs trials >= 1, got {trials}")
     rng = np.random.default_rng(rng)
-    L = L if L is not None else m.length
+    L = m.length
     if L is None:
         raise ContractViolation("cannot infer grid length from an empty morphism")
     series = _component_series(m, V, W, L)
@@ -270,7 +264,8 @@ def compose_morphisms(g: Morphism, f: Morphism) -> Morphism:
     """g after f: index maps compose forward, matrices multiply, masks stack.
 
     mask = mask_f * (mask_g pulled back along f's matrix); matrix =
-    matrix_g @ matrix_f.  Column sums stay 1 automatically.
+    matrix_g @ matrix_f.  Column sums stay 1 mod L automatically, since
+    1^T matrix_g @ matrix_f = 1^T matrix_f mod L.
     """
     L = f.length or g.length
     index_map, matrices, masks = {}, {}, {}
@@ -310,19 +305,12 @@ def _wrapped_quadratic(order: int, memory: int, C: np.ndarray) -> np.ndarray:
     return values.reshape((memory,) * order)
 
 
-def catalog(
-    kind: str,
-    V: VolterraSeries,
-    L: int,
-    params=None,
-    eps: float | None = None,
-    memory: int | None = None,
-):
+def catalog(kind: str, V: VolterraSeries, L: int, params=None, memory: int | None = None):
     """Build (target series, morphism) for the stock morphism families.
 
     kinds: ``trivial`` (delta-train target), ``autoconvolution`` (target V
     itself; the component squares each spectrum), ``identity`` (reciprocal-
-    spectrum mask on the support), ``translation`` (delta at per-order
+    spectrum mask where |v_hat| >= 1e-12 max |v_hat|, zero elsewhere), ``translation`` (delta at per-order
     offsets), ``sampling`` (comb kernels with per-order periods),
     ``smoothing`` (wrapped Gaussian kernels from per-order positive-definite
     quadratic forms).  ``params`` maps a source index (or order, for
@@ -354,9 +342,8 @@ def catalog(
         elif kind == "identity":
             target_kernels[i] = kernel
             fr = vfrf(kernel, L)
-            cutoff = (1e-12 * float(np.max(np.abs(fr)))) if eps is None else eps
             mask = np.zeros_like(fr)
-            support = np.abs(fr) >= cutoff
+            support = np.abs(fr) >= 1e-12 * float(np.max(np.abs(fr)))
             mask[support] = 1.0 / fr[support]
             masks[i] = mask
         elif kind == "translation":

@@ -127,14 +127,6 @@ class TFDGrid:
             raise ContractViolation(f"TFD grid must be 2-d, got shape {values.shape}")
         object.__setattr__(self, "values", values)
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.values.shape[0])
-
-    @property
-    def freq_bins(self) -> np.ndarray:
-        return np.arange(self.values.shape[1])
-
 
 @dataclass(frozen=True)
 class MultiAxisGrid:
@@ -166,10 +158,9 @@ def analytic_signal(s) -> np.ndarray:
     return np.fft.ifft(spectrum * gain)
 
 
-def chirp(phase: PolynomialPhase, L: int, amplitude: float = 1.0) -> np.ndarray:
-    """Constant-amplitude polynomial-phase signal A exp(i phi(t))."""
-    t = np.arange(L)
-    return amplitude * np.exp(1j * phase.phase(t))
+def chirp(phase: PolynomialPhase, L: int) -> np.ndarray:
+    """Unit-amplitude polynomial-phase signal exp(i phi(t))."""
+    return np.exp(1j * phase.phase(np.arange(L)))
 
 
 def _phase_ramps(L: int, delays) -> np.ndarray:
@@ -337,14 +328,11 @@ def stft(x, window) -> np.ndarray:
     if w.size != x.size:
         raise ContractViolation("window and signal lengths differ")
     L = x.size
-    cw = np.conj(w)
-    # frames[L - n] = conj(w(t - n)) over t in [0, L)
-    frames = sliding_window_view(np.concatenate([cw, cw]), L)
+    frames = _shift_matrix(np.conj(w), L)  # frames[n, t] = conj(w(t - n))
     S = np.empty((L, L), dtype=np.complex128)
     for n0 in range(0, L, _BLOCK):
-        n1 = min(n0 + _BLOCK, L)
-        rows = S[n0:n1]
-        np.multiply(x, frames[L - n1 + 1 : L - n0 + 1][::-1], out=rows)
+        rows = S[n0 : n0 + _BLOCK]
+        np.multiply(x, frames[n0 : n0 + _BLOCK], out=rows)
         np.fft.fft(rows, axis=1, out=rows)
     return S
 
@@ -482,12 +470,13 @@ class LambdaSet:
         return self.lambdas + tuple(-v for v in self.lambdas)
 
 
-def pwvd_lambdas(k: int, lambda3: float | None = None, branch: int = 1) -> LambdaSet:
+def pwvd_lambdas(k: int, lambda3: float | None = None) -> LambdaSet:
     """Closed-form lag scalings for orders 4 and 6.
 
     k = 4 ships the canonical (1/4, 1/4) pair; k = 6 solves the constraint
     equations in closed form for a chosen lambda_3 > 1/2 (below that the
-    roots go complex).  ``branch`` selects which root is lambda_1.
+    roots go complex).  lambda_1 is the larger root and lambda_2 the
+    smaller; the swapped pair is ``LambdaSet(6, (lambda_2, lambda_1, lambda_3))``.
     """
     if k == 4:
         return LambdaSet(4, (0.25, 0.25))
@@ -507,30 +496,27 @@ def pwvd_lambdas(k: int, lambda3: float | None = None, branch: int = 1) -> Lambd
         raise DomainError(f"negative discriminant for lambda3 = {lam3}")
     radical = math.sqrt(3) * math.sqrt(disc) / (12 * math.sqrt(2 * lam3 - 1))
     base = 0.25 - lam3 / 2
-    sign = 1 if branch >= 0 else -1
-    return LambdaSet(6, (base + sign * radical, base - sign * radical, lam3))
+    return LambdaSet(6, (base + radical, base - radical, lam3))
 
 
 @dataclass(frozen=True)
 class LambdaReport:
-    antisymmetry_residual: float
     half_sum_residual: float
     paired_odd_residuals: dict
     one_sided_odd_sums: dict
 
     def passed(self, tol: float = 1e-12) -> bool:
         """Every residual within tol; a NaN residual fails."""
-        residuals = [self.antisymmetry_residual, self.half_sum_residual]
-        residuals += self.paired_odd_residuals.values()
+        residuals = [self.half_sum_residual, *self.paired_odd_residuals.values()]
         return all(r <= tol for r in residuals)
 
 
 def check_lambda_constraints(ls: LambdaSet, p: int) -> LambdaReport:
     """Residuals of the lag-scaling constraints up to moment order p.
 
-    Checks the antisymmetry convention, the half-sum, and the paired odd
-    moments sum_{+-l} lambda^m (zero by antisymmetry).  The one-sided odd
-    sums sum_{l>0} lambda_l^m are reported as well: they are the binding
+    Checks the half-sum and the paired odd moments sum_{+-l} lambda^m (zero
+    by the antisymmetric ``LambdaSet.full``).  The one-sided odd sums
+    sum_{l>0} lambda_l^m are reported as well: they are the binding
     condition for concentration on higher-order phases, satisfied by the
     k = 6 closed form but not by the shipped k = 4 pair.
     """
@@ -542,7 +528,6 @@ def check_lambda_constraints(ls: LambdaSet, p: int) -> LambdaReport:
         paired[m] = float(abs(np.sum(full**m)))
         one_sided[m] = float(np.sum(lam**m))
     return LambdaReport(
-        antisymmetry_residual=0.0,
         half_sum_residual=float(abs(np.sum(lam) - 0.5)),
         paired_odd_residuals=paired,
         one_sided_odd_sums=one_sided,

@@ -18,9 +18,9 @@ def random_kernel(order, memory, rng, scale=1.0):
 
 
 def random_series(max_order, memory, rng, constant=None, scale=1.0):
-    kernels = {j: random_kernel(j, memory, rng, scale) for j in range(1, max_order + 1)}
-    if constant is not None:
-        kernels[0] = constant_kernel(constant)
+    """Orders 1..max_order (and 0 if ``constant`` is given), filed in ascending order: canonical."""
+    kernels = {} if constant is None else {0: constant_kernel(constant)}
+    kernels.update((j, random_kernel(j, memory, rng, scale)) for j in range(1, max_order + 1))
     return VolterraSeries(kernels)
 
 

@@ -12,7 +12,7 @@ from volterra.actions import (
     compose_multipliers,
     induced_linear_kernel,
 )
-from volterra.errors import ConsistencyError, GridError
+from volterra.errors import ConsistencyError, ContractViolation, GridError
 from volterra.evaluation import (
     comb_signal,
     eval_freq,
@@ -172,6 +172,11 @@ def test_induced_kernel_recovers_multiplier_for_linear_series(rng):
     out = induced_linear_kernel(series, Multiplier(gamma), s_hat)
     assert out.excluded_bins == ()
     assert max_abs(out.multiplier.weights - gamma) < 1e-10
+
+
+def test_induced_kernel_rejects_a_multiplier_of_another_length(rng):
+    with pytest.raises(ContractViolation, match="weight vector length"):
+        induced_linear_kernel(random_series(2, 3, rng), Multiplier(np.ones(9)), random_signal(10, rng))
 
 
 def test_induced_kernel_unit_weights(rng):

@@ -10,7 +10,7 @@ from volterra.errors import ContractViolation
 from volterra.cli import main
 from volterra.evaluation import eval_time
 from volterra.kernels import VolterraSeries, symmetrize_plain, symmetrize_weighted, zero_pad
-from volterra.morphisms import catalog
+from volterra.morphisms import Morphism, catalog
 from volterra.tfd import PolynomialPhase, chirp
 
 
@@ -157,6 +157,23 @@ def test_cli_morph_check_naturality(tmp_path, rng, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert payload["max_residual"] <= 1e-9
+
+
+def test_cli_morph_check_naturality_accepts_column_sums_one_mod_length(tmp_path, rng, capsys):
+    # [[13]] at L = 12 pulls back by 13 = 1 mod 12: a natural morphism
+    V, W = random_series(1, 3, rng), random_series(1, 3, rng)
+    m = Morphism({1: 1}, {1: np.array([[13]])}, {1: np.ones(12, dtype=complex)})
+    mfile = tmp_path / "m.vm"
+    io.save_morphism(mfile, m)
+    code = main(
+        [
+            "morph", "--check-naturality", "--morphism", str(mfile),
+            "--source", write_series(tmp_path, "v.vk", V), "--target", write_series(tmp_path, "w.vk", W),
+        ]
+    )
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["valid"] and payload["max_residual"] <= 1e-9
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

@@ -259,6 +259,9 @@ def test_canonical_series_is_passed_through(rng):
     assert series.canonical() is series
     with_constant = VolterraSeries({0: kernel_from_array(np.asarray(0.5)), **series.kernels})
     assert with_constant.canonical() is with_constant
+    # the test helper files the order-0 kernel first, so compositions never rebuild it
+    helper_series = random_series(3, 2, rng, constant=0.5)
+    assert helper_series.canonical() is helper_series
 
 
 def test_is_canonical_agrees_with_canonical(rng):

@@ -40,6 +40,7 @@ from volterra.morphisms import (
     check_naturality,
     lens_identity,
     pullback_gather,
+    validate_morphism,
 )
 
 SETTINGS = settings(settings.get_profile("volterra"), max_examples=50)
@@ -249,9 +250,10 @@ def test_eval_freq_matches_slice_sum(case, weighted):
     s_hat = random_signal(L, rng)
     weights = random_signal(L, rng) if weighted else None
     want = slice_sum_reference(series, s_hat, weights)
-    assert rel_err(eval_freq(series, s_hat, weights=weights), want) <= 1e-12
     if weighted:
         assert rel_err(apply_action(series, Multiplier(weights), s_hat), want) <= 1e-12
+    else:
+        assert rel_err(eval_freq(series, s_hat), want) <= 1e-12
 
 
 @SETTINGS
@@ -292,10 +294,12 @@ def test_check_naturality_passes_exactly_when_column_sums_are_one(j, k, L, lawfu
     W = VolterraSeries({"w": random_kernel(k, data.draw(st.integers(1, min(L, 3))), rng)})
     m = Morphism({"v": "w"}, {"v": matrix}, {"v": np.ones((L,) * j, dtype=np.complex128)})
     residual = check_naturality(m, V, W, trials=5, rng=rng)
-    if np.all((matrix.sum(axis=0) - 1) % L == 0):
+    natural = bool(np.all((matrix.sum(axis=0) - 1) % L == 0))
+    if natural:
         assert residual <= 1e-9
     else:
         assert residual > 1e-6
+    assert validate_morphism(m, V, W).ok == natural
 
 
 @SETTINGS
@@ -311,6 +315,6 @@ def test_eval_freq_and_apply_action_reject_bad_grids(M, data):
         apply_action(series, Multiplier(random_signal(L, rng)), s_hat)
     short = random_signal(M, rng)  # fits the kernel memory, not the spectrum
     with pytest.raises(ContractViolation, match="weight vector length"):
-        eval_freq(random_series(1, 1, rng), short, weights=s_hat)
+        apply_action(random_series(1, 1, rng), Multiplier(short), s_hat)
     with pytest.raises(ContractViolation, match="weight vector length"):
         apply_action(random_series(1, 1, rng), Multiplier(s_hat), short)

@@ -360,6 +360,7 @@ def test_pwvd_lambdas_k4_canonical():
 @pytest.mark.parametrize("lambda3", [0.55, 0.62, 0.75])
 def test_pwvd_lambdas_k6_constraints(lambda3):
     ls = pwvd_lambdas(6, lambda3)
+    assert ls.lambdas[0] > ls.lambdas[1] and ls.lambdas[2] == lambda3  # the larger root first
     report = check_lambda_constraints(ls, 4)
     assert report.passed(1e-12)
     assert abs(report.one_sided_odd_sums[3]) <= 1e-12  # the binding cubic condition
@@ -397,9 +398,9 @@ def test_pwvd_lambdas_rejects_non_finite(bad):
 
 
 def test_lambda_report_nan_residual_fails():
-    assert not LambdaReport(0.0, np.nan, {3: 0.0}, {}).passed()
-    assert not LambdaReport(0.0, 0.0, {3: 0.0, 5: np.nan}, {}).passed()
-    assert LambdaReport(0.0, 0.0, {3: 0.0}, {}).passed()
+    assert not LambdaReport(np.nan, {3: 0.0}, {}).passed()
+    assert not LambdaReport(0.0, {3: 0.0, 5: np.nan}, {}).passed()
+    assert LambdaReport(0.0, {3: 0.0}, {}).passed()
 
 
 # ---------------------------------------------------------------- pwvd
