@@ -2,9 +2,11 @@
 
 A spectral multiplier weights each frequency of the input; applying a
 series to it inserts the tensor power of the weight vector into every
-slot of the projection-slice sum.  ``apply_action`` is the only place a
-multiplier meets a spectrum; ``act_periodization`` and
-``induced_linear_kernel`` call it.  All four worked actions are evaluators
+slot of the projection-slice sum.  ``apply_action`` is the only public
+application of a multiplier to a spectrum; ``act_periodization`` and
+``induced_linear_kernel`` call it.  (``morphisms.check_naturality`` weights
+its batched trials by the translation multiplier in its own private time
+path.)  All four worked actions are evaluators
 on a transformed input: translation on the shifted input (with a
 commutation check), modulation on the rolled spectrum, periodization with
 the comb's spectrum as multiplier, sampling on the comb-multiplied input.
@@ -59,8 +61,8 @@ def compose_multipliers(g: Multiplier, f: Multiplier) -> Multiplier:
 def apply_action(series: VolterraSeries, m: Multiplier, s_hat) -> np.ndarray:
     """V(m)(s_hat): weight every input slot of the projection-slice sum by gamma.
 
-    The package's only application of a multiplier to a spectrum.  Since
-    gamma^(x)j . s_hat^(x)j = (gamma . s_hat)^(x)j, it is computed as
+    The package's only public application of a multiplier to a spectrum.
+    Since gamma^(x)j . s_hat^(x)j = (gamma . s_hat)^(x)j, it is computed as
     eval_freq(series, gamma * s_hat) for gamma of the spectrum's length.
     Multiplying by 1 + 0j is exact, so the identity multiplier is
     preserved bit for bit.

@@ -13,7 +13,8 @@ is exactly the DFT of the time path on the inverse DFT of the input, and
 ``eval_freq`` computes it that way: this module builds nothing on the
 frequency lattice {0..L-1}^j.  It is the package's only slice sum; a lens
 component in ``morphisms`` is ``eval_freq`` of its component series, and
-a multiplier's weights meet a spectrum only in ``actions.apply_action``.
+``actions.apply_action`` is the only public application of a multiplier's
+weights to a spectrum.
 
 The private ``_shift_matrix`` and ``_contract`` take leading batch axes, so
 that ``morphisms.check_naturality`` runs its trials as one time-path pass;
@@ -152,7 +153,7 @@ def eval_freq(series: VolterraSeries, s_hat) -> np.ndarray:
                v_hat_j(Omega) prod_q s_hat(omega_q),
     plus v0 * L at bin 0 for the constant term.  For memory M <= L that is
     exactly the DFT of ``eval_time`` on ifft(s_hat); M > L raises
-    ``GridError``.  A multiplier is applied only by ``actions.apply_action``.
+    ``GridError``.  A multiplier is applied by ``actions.apply_action``.
     """
     return np.fft.fft(eval_time(series, np.fft.ifft(_signal(s_hat))))
 

@@ -3,9 +3,9 @@
 A morphism from V to W is (1) a map between index sets, (2) per source
 index an integer matrix taking source frequency vectors to target ones,
 and (3) a complex mask over the source frequency lattice.  The matrix must
-have all column sums equal to 1 mod L (exactly 1 while no mask fixes L):
-that is the discrete form of preserving the frequency sum, since
-1^T M = 1^T mod L forces sum(M Omega) = sum(Omega) mod L.
+have all column sums equal to 1 mod L, the masks' lattice length: that is
+the discrete form of preserving the frequency sum, since 1^T M = 1^T mod L
+forces sum(M Omega) = sum(Omega) mod L.
 The backward (weighted pullback) map precomposes a target kernel spectrum
 with the matrix and multiplies by the mask.
 
@@ -97,6 +97,8 @@ def validate_morphism(m: Morphism, V: VolterraSeries, W: VolterraSeries) -> Vali
     """Check index-map totality, matrix shapes and column sums, mask shapes."""
     problems = []
     L = m.length
+    if L == 0:
+        problems.append("masks have a zero-length lattice axis; the grid length must be >= 1")
     source_indices = [i for i in V.kernels if V.kernels[i].order >= 1]
     for i in source_indices:
         if i not in m.index_map:
@@ -118,12 +120,12 @@ def validate_morphism(m: Morphism, V: VolterraSeries, W: VolterraSeries) -> Vali
                 problems.append(
                     f"matrix at {i!r} has shape {mat.shape}, expected {(tgt_order, src_order)}"
                 )
-            elif src_order > 0:
+            elif src_order > 0 and L:
+                # with no length (or a zero one) the mask check below already fails
                 sums = mat.sum(axis=0)
-                if np.any(sums - 1 if L is None else (sums - 1) % L):
-                    rule = "equal 1" if L is None else f"be 1 mod {L}"
+                if np.any((sums - 1) % L):
                     problems.append(
-                        f"matrix at {i!r} has column sums {sums.tolist()}, all must {rule}"
+                        f"matrix at {i!r} has column sums {sums.tolist()}, all must be 1 mod {L}"
                     )
         mask = m.masks.get(i)
         if mask is None:
@@ -310,9 +312,9 @@ def catalog(kind: str, V: VolterraSeries, L: int, params=None, memory: int | Non
 
     kinds: ``trivial`` (delta-train target), ``autoconvolution`` (target V
     itself; the component squares each spectrum), ``identity`` (reciprocal-
-    spectrum mask where |v_hat| >= 1e-12 max |v_hat|, zero elsewhere), ``translation`` (delta at per-order
-    offsets), ``sampling`` (comb kernels with per-order periods),
-    ``smoothing`` (wrapped Gaussian kernels from per-order positive-definite
+    spectrum mask where |v_hat| >= 1e-12 max |v_hat|, zero elsewhere),
+    ``translation`` (delta at per-order offsets), ``sampling`` (comb
+    kernels with per-order periods), ``smoothing`` (wrapped Gaussian kernels from per-order positive-definite
     quadratic forms).  ``params`` maps a source index (or order, for
     canonical series) to the family parameter; a scalar applies everywhere.
     """

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -478,3 +480,10 @@ def test_cli_malformed_signal_csv_is_error(command, tmp_path, rng, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "bad.csv:1:" in captured.err
+
+
+def test_readme_library_sketch_runs():
+    # the first python block of README.md must run against the current API
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sketch = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(sketch, "README.md", "exec"), {})

@@ -56,14 +56,13 @@ def test_validate_accepts_column_sums_one_mod_length(rng):
     assert check_naturality(m, V, V, trials=5, rng=1) <= 1e-12
 
 
-def test_validate_without_a_length_needs_column_sums_exactly_one(rng):
-    # no mask has a lattice axis, so the length is unknown and the exact rule applies
+def test_validate_rejects_a_zero_length_mask(rng):
     V = random_series(1, 2, rng)
-    for matrix, rule_broken in (([[13]], True), ([[1]], False)):
-        m = Morphism({1: 1}, {1: np.array(matrix)}, {1: np.asarray(1.0)})
-        assert m.length is None
-        problems = validate_morphism(m, V, V).violations
-        assert any("all must equal 1" in v for v in problems) == rule_broken
+    m = Morphism({1: 1}, {1: np.array([[5]])}, {1: np.ones(0, dtype=complex)})
+    assert m.length == 0
+    with np.errstate(all="raise"):
+        report = validate_morphism(m, V, V)
+    assert not report.ok and any("zero-length" in v for v in report.violations)
 
 
 def test_validate_flags_missing_index(rng):
