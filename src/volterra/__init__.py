@@ -29,6 +29,7 @@ from .combinatorics import (
 )
 from .kernels import (
     DEFAULT_MAX_ORDER,
+    PackedKernel,
     VolterraKernel,
     VolterraSeries,
     constant_kernel,

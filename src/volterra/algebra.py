@@ -25,6 +25,7 @@ from .errors import ContractViolation, TruncationWarning
 from .evaluation import _contract_leading, eval_time
 from .kernels import (
     DEFAULT_MAX_ORDER,
+    PackedKernel,
     VolterraKernel,
     VolterraSeries,
     constant_kernel,
@@ -171,7 +172,9 @@ def compose_series(
 
     Orders above ``max_order`` are dropped with a TruncationWarning that
     lists those some multiset reaches; a bank is built only for an inner order
-    that a kept multiset uses.  No term table is cached.
+    that a kept multiset uses.  No term table is cached.  Each order is
+    assembled dense on {0..L'-1}^j, and Sym packs it: the composite kernels of
+    order >= 2 are ``PackedKernel``s, one value per orbit.
     """
     if A.constant != 0:
         raise ContractViolation(
@@ -280,7 +283,8 @@ def associativity_harness(
     """Build both ternary associations and report their disagreement.
 
     Kernel-level: per-order max abs deviation between the (symmetrized,
-    canonical) kernels of (C . B) . A and C . (B . A).  Output-level: max
+    canonical) kernels of (C . B) . A and C . (B . A), read off the orbit
+    values where both are packed on one memory.  Output-level: max
     deviation on random signals.  Also checks the combinatorial label
     multisets of the two expansions coincide order by order.
     """
@@ -295,9 +299,13 @@ def associativity_harness(
         if lk is None and rk is None:
             per_order[j] = 0.0
             continue
-        M = max(k.memory for k in (lk, rk) if k is not None)
-        ld = zero_pad(lk, M).data if lk is not None else 0.0
-        rd = zero_pad(rk, M).data if rk is not None else 0.0
+        if isinstance(lk, PackedKernel) and isinstance(rk, PackedKernel) and lk.memory == rk.memory:
+            # every lattice point carries its orbit's value: the same max, never expanded
+            ld, rd = lk.values, rk.values
+        else:
+            M = max(k.memory for k in (lk, rk) if k is not None)
+            ld = zero_pad(lk, M).data if lk is not None else 0.0
+            rd = zero_pad(rk, M).data if rk is not None else 0.0
         per_order[j] = float(np.max(np.abs(ld - rd)))
     max_kernel = max(per_order.values(), default=0.0)
 

@@ -195,7 +195,8 @@ def _cmd_info(args) -> int:
                 "order": kernel.order,
                 "memory": kernel.memory,
                 "max_asymmetry": asym,
-                "symmetric": asym <= 1e-12,
+                # relative: re-averaging an exactly symmetric kernel rounds at its own scale
+                "symmetric": asym <= 1e-12 * float(np.max(np.abs(kernel.data))),
             }
         )
     _emit(

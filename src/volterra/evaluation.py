@@ -2,8 +2,9 @@
 
 ``oracle_eval`` is the literal nested-loop reference implementation; every
 other evaluator in the package is tested against it.  The time path
-contracts each kernel over the delay lattice {0..M-1}^j against delayed
-copies of the input, and every such contraction shares ``_contract``.  Each
+contracts each dense kernel over the delay lattice {0..M-1}^j against
+delayed copies of the input, and every such contraction shares
+``_contract``; a packed kernel is summed over its orbits instead.  Each
 block of series composition in ``algebra`` contracts a tensor's leading
 axis against a bank of shifted kernels through ``_contract_leading``: a
 reshape and a single matmul.
@@ -32,7 +33,7 @@ import numpy as np
 
 from .combinatorics import Multicombination
 from .errors import ContractViolation, GridError
-from .kernels import VolterraKernel, VolterraSeries
+from .kernels import PackedKernel, VolterraKernel, VolterraSeries, _orbit_representatives
 
 __all__ = [
     "MultiInput",
@@ -129,12 +130,24 @@ def _contract(data: np.ndarray, mats) -> np.ndarray:
 
 
 def eval_homogeneous(kernel: VolterraKernel, s) -> np.ndarray:
-    """Output of a single order-j operator, factored as sequential contractions."""
+    """Output of a single order-j operator.
+
+    A dense kernel is contracted one delay axis at a time (``_contract``).  A
+    packed kernel sums over the orbits of its lattice instead: each orbit's
+    value times its size times the product of the delayed signal rows at its
+    sorted delays, C(M + j - 1, j) terms and no M^j intermediate.
+    """
     s = _signal(s)
-    L = s.size
     if kernel.order == 0:
-        return np.full(L, complex(kernel.data), dtype=np.complex128)
-    return _contract(kernel.data, [_shift_matrix(s, kernel.memory)] * kernel.order)
+        return np.full(s.size, complex(kernel.data), dtype=np.complex128)
+    bank = _shift_matrix(s, kernel.memory)
+    if isinstance(kernel, PackedKernel):
+        reps, sizes = _orbit_representatives(kernel.order, kernel.memory)
+        terms = bank[reps[0]]
+        for row in reps[1:]:
+            terms *= bank[row]
+        return (kernel.values * sizes) @ terms
+    return _contract(kernel.data, [bank] * kernel.order)
 
 
 def eval_time(series: VolterraSeries, s) -> np.ndarray:

@@ -5,11 +5,16 @@ Conventions used everywhere in the package:
 * a signal is a length-L complex vector indexed mod L;
 * its spectrum is the unnormalized DFT  s_hat(k) = sum_t s(t) exp(-2i pi k t / L)
   (numpy's default), so the inverse carries the 1/L;
-* an order-j kernel is a dense complex tensor over the delay lattice
+* an order-j kernel is a complex tensor over the delay lattice
   {0..M-1}^j, and its frequency response is the j-dimensional DFT of the
   kernel zero-embedded into {0..L-1}^j.
 
-Kernels are stored dense; the practical caps are order <= 4 and memory
+A kernel is stored dense unless it is symmetric.  Both symmetrizers return
+a ``PackedKernel``: one value per orbit of the lattice (per multiset of
+delays, Schetzen's symmetric-kernel storage), C(M + j - 1, j) values
+instead of M^j.  Its ``data`` is the dense tensor, expanded from the orbit
+values on first read and kept; the time evaluator reads the orbit values
+directly.  The practical caps of a dense kernel are order <= 4 and memory
 M <= 16 unless a caller knows better.
 
 Cached tables.  Composition and morphisms need integer tables that depend
@@ -17,8 +22,10 @@ only on shapes, never on kernel data.  Each is built once, kept in a
 ``functools.lru_cache`` bounded by entry count, and is read-only (arrays
 have ``setflags(write=False)``, the rest are tuples):
 
-* here, the orbit table of the {0..M-1}^j delay lattice, keyed by
-  ``(order, memory)``, at most 64 shapes; both symmetrizers read it;
+* here, keyed by ``(order, memory)``, at most 64 shapes each: the orbit
+  table of the {0..M-1}^j delay lattice, which the symmetrizers and the
+  expansion of a packed kernel read, and the orbit representatives and
+  sizes, which the time evaluator reads;
 * in ``algebra``, the association label multisets, keyed by
   ``(j, n_C, n_B, n_A, association)``, at most 256 entries;
 * in ``morphisms``, the frequency-lattice map of an integer matrix, keyed
@@ -30,16 +37,18 @@ An orbit table holds 8 M^j bytes, half of one complex kernel of that shape.
 Copies.  Kernel data is read-only.  The public ``VolterraKernel(...)``
 constructor converts and copies the caller's array in one step, so later
 writes to that array never reach the kernel.  The package's own producers
-(the symmetrizers, ``zero_pad``, ``VolterraSeries.kernel_of_order`` and the
-products in ``algebra``) build a fresh array no one else holds and hand it
-over through ``VolterraKernel._fresh``, which marks it read-only without a
-copy.  A series keeps its kernels in a read-only dict, so the orders and
-memory it reads off them once at construction stay true.
+(``zero_pad``, ``VolterraSeries.kernel_of_order`` and the products in
+``algebra``) build a fresh array no one else holds and hand it over through
+``VolterraKernel._fresh``, which marks it read-only without a copy.  A
+``PackedKernel`` copies its orbit values, a small array.  A series keeps
+its kernels in a read-only dict, so the orders and memory it reads off
+them once at construction stay true.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -50,6 +59,7 @@ from .errors import ContractViolation, GridError
 
 __all__ = [
     "VolterraKernel",
+    "PackedKernel",
     "VolterraSeries",
     "DEFAULT_MAX_ORDER",
     "kernel_from_array",
@@ -189,12 +199,60 @@ def _orbit_buckets(order: int, memory: int):
     return bucket, counts
 
 
+@functools.lru_cache(maxsize=64)
+def _orbit_representatives(order: int, memory: int):
+    """Sorted delays and size of every orbit, column b for bucket b; read-only, cached by shape.
+
+    Returns an ``(order, orbits)`` array of delays and the orbit sizes
+    j!/prod(multiplicities!), built without the lattice: the sorted delay
+    multisets come in lexicographic order, the bucket order of ``_orbit_buckets``.
+    """
+    reps = np.array(list(zip(*itertools.combinations_with_replacement(range(memory), order))), dtype=np.intp)
+    sizes = run = np.ones(reps.shape[1], dtype=np.intp)
+    for r in range(1, order):  # multinomial of the first r + 1 delays, one delay at a time
+        run = np.where(reps[r] == reps[r - 1], run + 1, 1)
+        sizes = sizes * (r + 1) // run
+    reps.setflags(write=False)
+    sizes.setflags(write=False)
+    return reps, sizes
+
+
 def _orbit_sums(kernel: VolterraKernel):
-    """(bucket per point, orbit sizes, kernel sum over each orbit)."""
+    """(orbit sizes, kernel sum over each orbit), in bucket order."""
     bucket, counts = _orbit_buckets(kernel.order, kernel.memory)
     flat = kernel.data.ravel()
     sums = np.bincount(bucket, weights=flat.real) + 1j * np.bincount(bucket, weights=flat.imag)
-    return bucket, counts, sums
+    return counts, sums
+
+
+class PackedKernel(VolterraKernel):
+    """A symmetric kernel held as one value per orbit of {0..M-1}^j.
+
+    ``values[b]`` is the kernel at every point of orbit b, the bucket id of
+    ``_orbit_buckets(order, memory)``: the rank of the sorted delay multiset.
+    ``data`` expands the values to the dense lattice on first read, read-only,
+    and keeps the expansion; a pickle holds the values only.
+    """
+
+    def __init__(self, order: int, memory: int, values):
+        values = np.array(values, dtype=np.complex128)
+        if order < 1 or memory < 1 or values.shape != (math.comb(memory + order - 1, order),):
+            raise ContractViolation(
+                f"{values.shape} orbit values do not fit order {order} and memory {memory}"
+            )
+        values.setflags(write=False)
+        for name, value in (("order", order), ("memory", memory), ("values", values)):
+            object.__setattr__(self, name, value)
+
+    @functools.cached_property
+    def data(self) -> np.ndarray:
+        bucket, _ = _orbit_buckets(self.order, self.memory)
+        data = self.values[bucket].reshape((self.memory,) * self.order)
+        data.setflags(write=False)
+        return data
+
+    def __reduce__(self):
+        return type(self), (self.order, self.memory, self.values)
 
 
 def symmetrize_plain(kernel: VolterraKernel) -> VolterraKernel:
@@ -202,28 +260,28 @@ def symmetrize_plain(kernel: VolterraKernel) -> VolterraKernel:
 
     Computed by orbit averaging (group points by their sorted delay
     multiset), which equals the permutation average and stays tractable
-    for high orders.
+    for high orders.  The result is packed: the mean of each orbit.  A
+    packed kernel is symmetric already and is returned itself.
     """
-    j, M = kernel.order, kernel.memory
-    if j <= 1:
+    if kernel.order <= 1 or isinstance(kernel, PackedKernel):
         return kernel
-    bucket, counts, sums = _orbit_sums(kernel)
-    return VolterraKernel._fresh(j, M, (sums / counts)[bucket].reshape(kernel.data.shape))
+    counts, sums = _orbit_sums(kernel)
+    return PackedKernel(kernel.order, kernel.memory, sums / counts)
 
 
 def symmetrize_weighted(kernel: VolterraKernel) -> VolterraKernel:
     """Permutation sum divided by the multinomial of each point's multiset.
 
     The divisor n*(tau) = j!/prod(multiplicities!) equals the orbit size, so
-    the output at tau is (j! / orbit) * orbit mean.  On a j = 2 diagonal
-    point this gives 2 v(a, a), unlike the plain average.
+    the output at tau is (j! / orbit) * orbit mean, packed.  On a j = 2
+    diagonal point this gives 2 v(a, a), unlike the plain average; so it is
+    no projection, and a packed input is weighted again through its data.
     """
-    j, M = kernel.order, kernel.memory
+    j = kernel.order
     if j <= 1:
         return kernel
-    bucket, counts, sums = _orbit_sums(kernel)
-    scaled = sums * (math.factorial(j) / counts**2)
-    return VolterraKernel._fresh(j, M, scaled[bucket].reshape(kernel.data.shape))
+    counts, sums = _orbit_sums(kernel)
+    return PackedKernel(j, kernel.memory, sums * (math.factorial(j) / counts**2))
 
 
 def symmetric_part_max_deviation(kernel: VolterraKernel) -> float:

@@ -1,8 +1,8 @@
 """Property tests for the cached, read-only integer tables.
 
-The orbit table (symmetrizers), the association label multisets and the
-frequency-lattice map (pullback gather) are built once per
-integer shape; these checks compare every cached path with its definition
+The orbit table (symmetrizers), the orbit representatives (packed
+evaluation), the association label multisets and the frequency-lattice map
+(pullback gather) are built once per integer shape; these checks compare every cached path with its definition
 on random shapes and data, and check that no cached table can be written.
 The pullback gather along the lattice map is checked against a pointwise
 loop.
@@ -20,7 +20,7 @@ from conftest import random_kernel
 from volterra.algebra import composition_labels
 from volterra.combinatorics import multinomial
 from volterra.errors import ContractViolation
-from volterra.kernels import _orbit_buckets, symmetrize_plain, symmetrize_weighted
+from volterra.kernels import _orbit_buckets, _orbit_representatives, symmetrize_plain, symmetrize_weighted
 from volterra.morphisms import _lattice_map, pullback_gather
 
 SETTINGS = settings(settings.get_profile("volterra"), max_examples=60)
@@ -63,6 +63,17 @@ def test_orbit_table_ranks_sorted_delay_multisets(j, M):
     assert np.array_equal(counts, np.bincount(bucket)) and counts.sum() == M**j
 
 
+@pytest.mark.parametrize(
+    "j, M", [(j, M) for j in range(1, 5) for M in range(1, 7)] + [(8, 4), (64, 1)]
+)
+def test_orbit_representatives_follow_the_orbit_table(j, M):
+    bucket, counts = _orbit_buckets(j, M)
+    reps, sizes = _orbit_representatives(j, M)
+    points = itertools.product(range(M), repeat=j)  # in flat-index order
+    assert all(tuple(reps[:, b]) == tuple(sorted(tau)) for b, tau in zip(bucket, points))
+    assert np.array_equal(sizes, counts)
+
+
 def gather_by_loop(target, matrix, L):
     out = np.empty((L,) * matrix.shape[1], dtype=np.complex128)
     for omega in np.ndindex(out.shape):
@@ -96,9 +107,11 @@ def test_pullback_gather_rejects_target_off_the_grid():
     [
         lambda: _orbit_buckets(3, 4)[0],
         lambda: _orbit_buckets(3, 4)[1],
+        lambda: _orbit_representatives(3, 4)[0],
+        lambda: _orbit_representatives(3, 4)[1],
         lambda: _lattice_map(((2, 1), (-1, 0)), 2, 5),
     ],
-    ids=["orbit-bucket", "orbit-counts", "lattice-map"],
+    ids=["orbit-bucket", "orbit-counts", "orbit-representatives", "orbit-sizes", "lattice-map"],
 )
 def test_cached_tables_are_read_only(table):
     array = table()

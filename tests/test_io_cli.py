@@ -1,18 +1,31 @@
+import itertools
 import json
 import math
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import max_abs, random_series, random_signal
+from conftest import max_abs, random_kernel, random_series, random_signal
 from volterra import io
+from volterra.algebra import compose_series
 from volterra.errors import ContractViolation
 from volterra.cli import main
 from volterra.evaluation import eval_time
-from volterra.kernels import VolterraSeries, symmetrize_plain, symmetrize_weighted, zero_pad
-from volterra.morphisms import Morphism, catalog
+from volterra.kernels import (
+    PackedKernel,
+    VolterraKernel,
+    VolterraSeries,
+    constant_kernel,
+    symmetrize_plain,
+    symmetrize_weighted,
+    zero_pad,
+)
+from volterra.morphisms import Morphism, catalog, lens_identity
 from volterra.tfd import PolynomialPhase, chirp
 
 
@@ -44,6 +57,73 @@ def test_morphism_round_trip_bit_exact(tmp_path, rng):
     for i in m.index_map:
         assert np.array_equal(loaded.matrices[i], m.matrices[i])
         assert np.array_equal(loaded.masks[i], m.masks[i])
+
+
+ROUND_TRIPS = settings(settings.get_profile("volterra"), max_examples=40)
+INDICES = st.lists(st.one_of(st.integers(), st.text(max_size=8)), min_size=1, max_size=4, unique=True)
+
+
+def round_trip(save, load, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "file"
+        save(path, value)
+        return load(path)
+
+
+def assert_series_round_trip(series):
+    loaded = round_trip(io.save_series, io.load_series, series)
+    assert loaded.indices == series.indices and loaded.memory == series.memory
+    for index, kernel in series.kernels.items():
+        padded = zero_pad(kernel, series.memory) if kernel.order else kernel
+        assert loaded.kernels[index].order == kernel.order
+        assert np.array_equal(loaded.kernels[index].data, padded.data)
+
+
+@ROUND_TRIPS
+@given(INDICES, st.integers(min_value=0, max_value=2**32 - 1))
+def test_series_round_trip_with_str_and_int_indices(indices, seed):
+    rng = np.random.default_rng(seed)
+    series = VolterraSeries(
+        {i: random_kernel(int(rng.integers(0, 4)), int(rng.integers(1, 4)), rng) for i in indices}
+    )
+    assert_series_round_trip(series)
+
+
+@ROUND_TRIPS
+@given(st.one_of(st.integers(), st.text(max_size=8)), st.complex_numbers(allow_nan=False))
+def test_series_round_trip_with_only_an_order_0_kernel(index, value):
+    series = VolterraSeries({index: constant_kernel(value)})
+    assert_series_round_trip(series)
+    m = round_trip(io.save_morphism, io.load_morphism, lens_identity(series, 4))
+    assert m.index_map == {} and m.length is None
+
+
+@ROUND_TRIPS
+@given(INDICES, st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=2**32 - 1))
+def test_morphism_round_trip_with_str_and_int_indices(indices, L, seed):
+    rng = np.random.default_rng(seed)
+    orders = {i: int(rng.integers(1, 3)) for i in indices}
+    targets = dict(zip(indices, reversed(indices)))
+    matrices = {i: rng.integers(-3, 4, size=(orders[targets[i]], orders[i])) for i in indices}
+    masks = {i: random_kernel(orders[i], L, rng).data for i in indices}
+    m = Morphism(targets, matrices, masks)
+    loaded = round_trip(io.save_morphism, io.load_morphism, m)
+    assert loaded.index_map == m.index_map and list(loaded.matrices) == list(m.matrices)
+    for i in indices:
+        assert np.array_equal(loaded.matrices[i], m.matrices[i])
+        assert np.array_equal(loaded.masks[i], m.masks[i])
+
+
+def test_composite_round_trip_keeps_the_packed_data(tmp_path, rng):
+    composite = compose_series(random_series(2, 3, rng, constant=0.5), random_series(2, 2, rng))
+    assert any(isinstance(k, PackedKernel) for k in composite.kernels.values())
+    path = tmp_path / "composite.vk"
+    io.save_series(path, composite)
+    loaded = io.load_series(path)
+    assert loaded.indices == composite.indices
+    for index, kernel in composite.kernels.items():
+        assert type(loaded.kernels[index]) is VolterraKernel
+        assert np.array_equal(loaded.kernels[index].data, kernel.data)
 
 
 def test_grid_csv_real_and_complex(tmp_path, rng):
@@ -274,6 +354,19 @@ def test_cli_info_reports_symmetry(tmp_path, rng, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["orders"] == [1, 2]
     assert all(entry["symmetric"] for entry in payload["kernels"])
+
+
+def test_cli_info_asymmetry_bound_is_relative(tmp_path, rng, capsys):
+    # exactly symmetric at 1e5: every transpose is bit-equal, yet re-averaging rounds above 1e-12
+    symmetric = symmetrize_plain(random_kernel(3, 4, rng, scale=1e5)).data
+    assert all(np.array_equal(symmetric, symmetric.transpose(p)) for p in itertools.permutations(range(3)))
+    swapped = symmetric.copy()
+    swapped[0, 1, 2], swapped[1, 1, 3] = symmetric[1, 1, 3], symmetric[0, 1, 2]
+    for data, symmetric_flag in ((symmetric, True), (swapped, False), (np.zeros((4,) * 3), True)):
+        vk = write_series(tmp_path, "v.vk", VolterraSeries({3: VolterraKernel(3, 4, data)}))
+        assert main(["info", "--series", vk]) == 0
+        (entry,) = json.loads(capsys.readouterr().out)["kernels"]
+        assert entry["symmetric"] is symmetric_flag
 
 
 def test_cli_missing_file_is_usage_error(tmp_path):
