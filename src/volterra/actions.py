@@ -4,9 +4,7 @@ A spectral multiplier weights each frequency of the input; applying a
 series to it inserts the tensor power of the weight vector into every
 slot of the projection-slice sum.  ``apply_action`` is the only public
 application of a multiplier to a spectrum; ``act_periodization`` and
-``induced_linear_kernel`` call it.  (``morphisms.check_naturality`` weights
-its batched trials by the translation multiplier in its own private time
-path.)  All four worked actions are evaluators
+``induced_linear_kernel`` call it.  All four worked actions are evaluators
 on a transformed input: translation on the shifted input (with a
 commutation check), modulation on the rolled spectrum, periodization with
 the comb's spectrum as multiplier, sampling on the comb-multiplied input.

@@ -6,7 +6,7 @@ morphism or check its naturality), ``tfd`` (time-frequency grids plus PGM
 heatmaps), ``lambdas`` (polynomial-distribution lag scalings), ``info``
 (series summary).  Machine-readable JSON goes to stdout, diagnostics to
 stderr; exit status is 0 on success, 1 on a contract violation, 2 on bad
-usage.
+usage or a path that cannot be opened.
 """
 
 from __future__ import annotations
@@ -271,7 +271,7 @@ def main(argv=None) -> int:
     except (ParseError, ResolutionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VolterraError as exc:

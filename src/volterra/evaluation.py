@@ -4,10 +4,10 @@
 other evaluator in the package is tested against it.  The time path
 contracts each dense kernel over the delay lattice {0..M-1}^j against
 delayed copies of the input, and every such contraction shares
-``_contract``; a packed kernel is summed over its orbits instead.  Each
-block of series composition in ``algebra`` contracts a tensor's leading
-axis against a bank of shifted kernels through ``_contract_leading``: a
-reshape and a single matmul.
+``_contract``; a packed kernel is summed over its orbits instead.
+``_contract`` builds on ``_contract_leading``, a reshape and a single
+matmul over a tensor's leading axis, which also serves each block of
+series composition in ``algebra``.
 
 The paper's frequency path, the projection-slice sum scaled by 1 / L**(j-1),
 is exactly the DFT of the time path on the inverse DFT of the input, and
@@ -16,11 +16,6 @@ frequency lattice {0..L-1}^j.  It is the package's only slice sum; a lens
 component in ``morphisms`` is ``eval_freq`` of its component series, and
 ``actions.apply_action`` is the only public application of a multiplier's
 weights to a spectrum.
-
-The private ``_shift_matrix`` and ``_contract`` take leading batch axes, so
-that ``morphisms.check_naturality`` runs its trials as one time-path pass;
-each batch row equals the single-row call bit for bit.  The public
-evaluators take one 1-d signal.
 """
 
 from __future__ import annotations
@@ -87,17 +82,13 @@ def oracle_eval(series: VolterraSeries, s) -> np.ndarray:
 
 
 def _shift_matrix(s: np.ndarray, M: int) -> np.ndarray:
-    """Rows m = 0..M-1 hold the signal delayed by m samples: a read-only view.
-
-    Leading axes of s are a batch: the bank has shape s.shape[:-1] + (M, L).
-    """
-    L = s.shape[-1]
+    """Rows m = 0..M-1 hold the signal delayed by m samples: a read-only view."""
+    L = s.size
     if M > L:
         raise GridError(f"kernel memory {M} exceeds signal length {L}")
-    wrapped = np.concatenate([s[..., L - M + 1 :], s], axis=-1)  # wrapped[i] = s((i - M + 1) mod L)
+    wrapped = np.concatenate([s[L - M + 1 :], s])  # wrapped[i] = s((i - M + 1) mod L)
     step = wrapped.itemsize  # row m, column t reads wrapped[M - 1 - m + t]
-    strides = wrapped.strides[:-1] + (-step, step)
-    bank = np.ndarray(s.shape[:-1] + (M, L), wrapped.dtype, wrapped, (M - 1) * step, strides)
+    bank = np.ndarray((M, L), wrapped.dtype, wrapped, (M - 1) * step, (-step, step))
     bank.flags.writeable = False
     return bank
 
@@ -114,18 +105,10 @@ def _contract_leading(data: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
 
 def _contract(data: np.ndarray, mats) -> np.ndarray:
-    """sum_tau data(tau) prod_r mats[r][..., tau_r, t], one delay axis at a time.
-
-    Leading axes of the (M, L) banks are a batch, shared by all of them: the
-    result has shape mats[0].shape[:-2] + (L,).  The first axis is one matmul
-    per batch row, each of the single-row shape, so a row rounds as it would alone.
-    """
-    first = data.reshape(data.shape[0], -1).T @ mats[0]  # (..., rest of tau, t)
-    b = first.ndim - 2
-    delay_first = (b,) + tuple(range(b)) + (b + 1,)  # (..., tau_r, t) -> (tau_r, ..., t)
-    T = first.transpose(delay_first).reshape(data.shape[1:] + first.shape[:b] + first.shape[b + 1 :])
+    """sum_tau data(tau) prod_r mats[r][tau_r, t], one delay axis at a time."""
+    T = _contract_leading(data, mats[0])  # (rest of tau, t)
     for mat in mats[1:]:
-        T = np.einsum("a...,a...->...", T, mat.transpose(delay_first))
+        T = np.einsum("a...,a...->...", T, mat)
     return T
 
 
@@ -247,25 +230,12 @@ def eval_multivariate(bank: MultivariateKernelBank, inputs: MultiInput, output) 
 
 
 def response_exponential(series: VolterraSeries, xi: int, L: int) -> np.ndarray:
-    """Response to s(t) = exp(2i pi xi t / L) from the diagonal VFRF values.
+    """Response to s(t) = exp(2i pi xi t / L): ``eval_time`` on that tone.
 
-    y(t) = sum_j exp(2i pi j t xi / L) * v_hat_j(xi * 1_j).
+    y(t) = sum_j exp(2i pi j t xi / L) * v_hat_j(xi * 1_j), the diagonal
+    VFRF values times the j-th power of the tone.
     """
-    if not 0 <= xi < L:
-        xi = xi % L
-    t = np.arange(L)
-    y = np.zeros(L, dtype=np.complex128)
-    for kernel in series.kernels.values():
-        j = kernel.order
-        if j == 0:
-            y += complex(kernel.data)
-            continue
-        phase = np.exp(-2j * np.pi * xi * np.arange(kernel.memory) / L)
-        diag = kernel.data
-        for _ in range(j):
-            diag = np.tensordot(diag, phase, axes=([0], [0]))
-        y += complex(diag) * np.exp(2j * np.pi * j * xi * t / L)
-    return y
+    return eval_time(series, np.exp(2j * np.pi * (xi * np.arange(L) % L) / L))
 
 
 def comb_signal(L: int, T: int) -> np.ndarray:

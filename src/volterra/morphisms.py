@@ -200,17 +200,9 @@ def apply_component(m: Morphism, V: VolterraSeries, W: VolterraSeries, s_hat) ->
 
 
 # Naturality trials run through the time path in chunks whose widest
-# intermediate (rows x L**j entries) stays within this many entries.
+# intermediates (the rows x L**2 delay bank, rows x L**j contraction
+# entries) stay within this many entries.
 _BATCH_ENTRIES = 1 << 15
-
-
-def _eval_rows(kernels: list, signals: np.ndarray) -> np.ndarray:
-    """``eval_time`` of memory-L kernel tensors on each row of signals (b, L)."""
-    out = np.zeros(signals.shape, dtype=np.complex128)
-    bank = _shift_matrix(signals, signals.shape[-1])
-    for data in kernels:
-        out += _contract(data, [bank] * data.ndim)
-    return out
 
 
 def check_naturality(
@@ -219,20 +211,21 @@ def check_naturality(
     """Max deviation between the two legs of the naturality square for translation.
 
     The base morphism is the one-sample translation T, whose powers are
-    every translation.  One leg applies T to the input: the component at
-    gamma . s_hat, gamma(w) = exp(-2i pi w / L).  The other applies T to the
-    target and pulls it back through each matrix: the component series with
-    kernel i rolled by the column sums 1^T matrix_i along its axes.  The
-    legs agree to rounding exactly when every column sum is 1 mod L, the
-    lens law; otherwise the residual is of the size of the component.
-    ``trials`` must be an integer >= 1.
+    every translation.  One leg applies T to the input, which rolls each
+    kernel i of the component series by one sample along its axes.  The
+    other applies T to the target and pulls it back through each matrix,
+    which rolls kernel i by the column sums 1^T matrix_i.  The residual is
+    the output spectrum of the difference D_i of the two rolls, so it is
+    exactly 0 when every column sum is 1 mod L, the lens law; otherwise it
+    is of the size of the component.  ``trials`` must be an integer >= 1.
 
     Each trial draws one spectrum s_hat from ``rng`` (2L normals: real
-    parts, then imaginary).  The trials run as batches through the time
-    path of ``eval_freq``: each chunk stacks as many trials as keep its
-    widest intermediate within ``_BATCH_ENTRIES`` entries at the highest
-    order (at least one trial), so memory stays bounded whatever ``trials``
-    is, and the residual matches a loop of ``eval_freq`` pairs.
+    parts, then imaginary) and evaluates fft . D . ifft on it.  The trials
+    run in chunks, side by side as one (L, rows * L) delay bank, each chunk
+    as many trials as keep the bank and the widest contraction within
+    ``_BATCH_ENTRIES`` entries (at least one trial), so memory stays bounded
+    whatever ``trials`` is; the residual matches a loop of ``apply_component``
+    pairs to rounding.
     """
     try:
         trials = operator.index(trials)
@@ -244,21 +237,21 @@ def check_naturality(
     L = m.length
     if L is None:
         raise ContractViolation("cannot infer grid length from an empty morphism")
-    series = _component_series(m, V, W, L)
-    kernels = [kernel.data for kernel in series.kernels.values()]
-    translated = [
-        np.roll(kernel.data, m.matrices[i].sum(axis=0), axis=tuple(range(kernel.order)))
-        for i, kernel in series.kernels.items()
-    ]
-    rows = max(1, _BATCH_ENTRIES // max((data.size for data in kernels), default=1))
-    gamma = np.exp(-2j * np.pi * np.arange(L) / L)
+    diffs = []
+    for i, kernel in _component_series(m, V, W, L).kernels.items():
+        axes = tuple(range(kernel.order))
+        shifts = m.matrices[i].sum(axis=0)
+        diffs.append(np.roll(kernel.data, 1, axis=axes) - np.roll(kernel.data, shifts, axis=axes))
+    rows = max(1, _BATCH_ENTRIES // max([L * L] + [d.size for d in diffs]))
     worst = 0.0
     for start in range(0, trials, rows):
         draws = rng.standard_normal((min(rows, trials - start), 2, L))
-        s_hat = draws[:, 0] + 1j * draws[:, 1]
-        through_input = np.fft.fft(_eval_rows(kernels, np.fft.ifft(gamma * s_hat)))
-        through_target = np.fft.fft(_eval_rows(translated, np.fft.ifft(s_hat)))
-        worst = max(worst, float(np.max(np.abs(through_input - through_target))))
+        signals = np.fft.ifft(draws[:, 0] + 1j * draws[:, 1])
+        bank = np.hstack([_shift_matrix(s, L) for s in signals])  # (L, rows * L)
+        out = np.zeros(signals.size, dtype=np.complex128)
+        for d in diffs:
+            out += _contract(d, [bank] * d.ndim)
+        worst = max(worst, float(np.max(np.abs(np.fft.fft(out.reshape(signals.shape))))))
     return worst
 
 

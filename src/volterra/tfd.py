@@ -45,7 +45,6 @@ __all__ = [
     "LambdaReport",
     "analytic_signal",
     "chirp",
-    "fractional_shift",
     "wvd",
     "ambiguity",
     "unit_parameter",
@@ -170,16 +169,6 @@ def _phase_ramps(L: int, delays) -> np.ndarray:
     """
     freqs = np.fft.fftfreq(L) * L
     return np.exp((2j * np.pi / L) * np.multiply.outer(delays, freqs))
-
-
-def fractional_shift(x, d: float) -> np.ndarray:
-    """x(t + d) by a spectral phase ramp; integer d reduces to a roll."""
-    x = _signal(x)
-    if not math.isfinite(d):
-        raise DomainError(f"shift must be finite, got {d}")
-    if float(d) == int(round(d)):
-        return np.roll(x, -int(round(d)))
-    return np.fft.ifft(np.fft.fft(x) * _phase_ramps(x.size, float(d)))
 
 
 def _half_lags(L: int) -> np.ndarray:

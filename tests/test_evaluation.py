@@ -16,7 +16,6 @@ from volterra.evaluation import (
     oracle_eval,
     response_comb,
     response_exponential,
-    _contract,
     _shift_matrix,
 )
 from volterra.kernels import (
@@ -249,23 +248,3 @@ def test_index_sum_grid_is_cached_read_only(j, L):
     grid = _lattice_map(((1,) * j,), j, L)
     assert grid is _lattice_map(((1,) * j,), j, L) and not grid.flags.writeable
     assert np.array_equal(grid, np.indices((L,) * j).sum(axis=0) % L)
-
-
-# check_naturality evaluates its trials' slice sums as one batched time-path pass
-@pytest.mark.parametrize("j, L, rows", [(0, 4, 3), (1, 5, 1), (2, 4, 3), (3, 3, 5)])
-def test_slice_sum_steps_take_a_leading_batch_axis(j, L, rows, rng):
-    signals = np.stack([random_signal(L, rng) for _ in range(rows)])
-    for M in range(1, L + 1):
-        bank = _shift_matrix(signals, M)
-        assert bank.shape == (rows, M, L) and not bank.flags.writeable
-        for r in range(rows):
-            assert np.array_equal(bank[r], _shift_matrix(signals[r], M))
-        if j == 0:
-            continue
-        data = random_kernel(j, M, rng).data
-        batched = _contract(data, [bank] * j)
-        assert batched.shape == (rows, L)
-        for r in range(rows):  # each row rounds as it would alone
-            assert np.array_equal(batched[r], _contract(data, [_shift_matrix(signals[r], M)] * j))
-        stacked = _contract(data, [_shift_matrix(signals[:, None], M)] * j)  # two batch axes
-        assert stacked.shape == (rows, 1, L) and np.array_equal(stacked[:, 0], batched)

@@ -373,6 +373,21 @@ def test_cli_missing_file_is_usage_error(tmp_path):
     assert main(["info", "--series", str(tmp_path / "missing.vk")]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--series", "--signal", "--out"])
+def test_cli_directory_path_is_usage_error(flag, tmp_path, rng, capsys):
+    paths = {
+        "--series": write_series(tmp_path, "v.vk", random_series(1, 2, rng)),
+        "--signal": str(tmp_path / "s.csv"),
+        "--out": str(tmp_path / "out.csv"),
+    }
+    io.write_signal_csv(paths["--signal"], random_signal(8, rng))
+    paths[flag] = str(tmp_path)
+    argv = ["eval"] + [part for item in paths.items() for part in item]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_cli_bad_usage_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])

@@ -296,7 +296,7 @@ def test_check_naturality_passes_exactly_when_column_sums_are_one(j, k, L, lawfu
     residual = check_naturality(m, V, W, trials=5, rng=rng)
     natural = bool(np.all((matrix.sum(axis=0) - 1) % L == 0))
     if natural:
-        assert residual <= 1e-9
+        assert residual == 0.0
     else:
         assert residual > 1e-6
     assert validate_morphism(m, V, W).ok == natural

@@ -18,7 +18,6 @@ from volterra.tfd import (
     cohen,
     cohen_volterra_kernel,
     eval_double_bilinear,
-    fractional_shift,
     howvd,
     if_concentration,
     interference_term_count,
@@ -257,7 +256,6 @@ def test_half_lag_grids_need_even_length(grid, length):
 def test_length_one_signals_where_well_defined():
     x = np.array([2.0 + 1.0j])
     assert np.array_equal(stft(x, np.ones(1)), [[2.0 + 1.0j]])
-    assert np.array_equal(fractional_shift(x, 0.5), x)
     h = cohen_volterra_kernel(unit_parameter(1), 0)
     assert np.array_equal(eval_double_bilinear(h, x, x), h.data[0, 0] * x * x)
 
@@ -462,25 +460,6 @@ def test_pwvd_smoothing_hook_passthrough():
     plain = quiet(pwvd, x, ls)
     hooked = quiet(pwvd, x, ls, smoothing=lambda R: R)
     assert np.array_equal(plain.values, hooked.values)
-
-
-def test_fractional_shift_integer_fast_path(rng):
-    x = rng.standard_normal(L) + 1j * rng.standard_normal(L)
-    assert np.array_equal(fractional_shift(x, 3), np.roll(x, -3))
-
-
-def test_fractional_shift_tone_phase():
-    k0 = 5
-    x = np.exp(2j * np.pi * k0 * T_AXIS / L)
-    got = fractional_shift(x, 0.5)
-    want = np.exp(2j * np.pi * k0 * (T_AXIS + 0.5) / L)
-    assert max_abs(got - want) < 1e-10
-
-
-@pytest.mark.parametrize("d", [float("nan"), float("inf"), -float("inf")])
-def test_fractional_shift_rejects_non_finite(d):
-    with pytest.raises(DomainError, match="finite"):
-        fractional_shift(np.ones(8), d)
 
 
 # ------------------------------------------------- pwvd kernel descriptor
