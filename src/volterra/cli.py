@@ -54,12 +54,8 @@ def _complex_pair(z) -> list:
 def _cmd_eval(args) -> int:
     series = io.load_series(args.series)
     signal = io.read_signal_csv(args.signal)
-    if args.freq:
-        out = eval_freq(series, np.fft.fft(signal))
-        io.write_signal_csv(args.out, out)
-    else:
-        out = eval_time(series, signal)
-        io.write_signal_csv(args.out, out)
+    out = eval_freq(series, np.fft.fft(signal)) if args.freq else eval_time(series, signal)
+    io.write_signal_csv(args.out, out)
     _emit({"out": args.out, "length": int(out.size), "domain": "freq" if args.freq else "time"})
     return 0
 
@@ -112,8 +108,7 @@ def _cmd_morph(args) -> int:
         )
         return 0 if residual <= NATURALITY_TOLERANCE else 1
     if not args.signal or not args.out:
-        print("morph --apply needs --signal and --out", file=sys.stderr)
-        return 2
+        raise argparse.ArgumentError(None, "morph --apply needs --signal and --out")
     signal = io.read_signal_csv(args.signal)
     out = apply_component(m, V, W, np.fft.fft(signal))
     io.write_signal_csv(args.out, out)
@@ -135,8 +130,7 @@ def _cmd_tfd(args) -> int:
             phi = rihaczek_parameter(L)
         elif args.phi == "spectrogram":
             if not args.window:
-                print("cohen --phi spectrogram needs --window", file=sys.stderr)
-                return 2
+                raise argparse.ArgumentError(None, "cohen --phi spectrogram needs --window")
             phi = spectrogram_parameter(io.read_signal_csv(args.window))
         else:  # pragma: no cover - argparse restricts choices
             raise VolterraError(f"unknown parameter function {args.phi}")
@@ -144,16 +138,14 @@ def _cmd_tfd(args) -> int:
     elif args.method == "pwvd":
         if args.k == 6:
             if args.lambda3 is None:
-                print("pwvd with k = 6 needs --lambda3", file=sys.stderr)
-                return 2
+                raise argparse.ArgumentError(None, "pwvd with k = 6 needs --lambda3")
             ls = pwvd_lambdas(6, args.lambda3)
         elif args.k == 4:
             ls = pwvd_lambdas(4)
         elif args.k == 2:
             ls = LambdaSet(2, (0.5,))
         else:
-            print("pwvd supports k in {2, 4, 6}", file=sys.stderr)
-            return 2
+            raise argparse.ArgumentError(None, "pwvd supports k in {2, 4, 6}")
         grid = pwvd(signal, ls).values
     else:  # howvd
         full = howvd(signal, args.k).values
@@ -210,6 +202,12 @@ def _cmd_info(args) -> int:
     return 0
 
 
+def _non_negative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="volterra", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -234,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--check-naturality", action="store_true")
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--signal")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_morph)
@@ -268,12 +266,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, ResolutionError) as exc:
+    except (argparse.ArgumentError, ParseError, ResolutionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2  # bad usage, or a path that cannot be opened
     except VolterraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

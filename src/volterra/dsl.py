@@ -14,7 +14,7 @@ chain because composition is associative), ``*`` the pointwise product,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .algebra import compose_series, product_series, sum_series
 from .errors import ParseError, ResolutionError
@@ -50,35 +50,41 @@ class Compose(ExprNode):
     inner: ExprNode
 
 
-_TOKEN_KINDS = {"+": "'+'", "*": "'*'", "<|": "'<|'", "(": "'('", ")": "')'"}
+# The three monoidal products, loosest binding first: (token, node class,
+# series operation).  The operations name their function at call time, so a
+# wrapper rebound over it in this module (as perfbench's tracer does) sees the call.
+_OPERATORS = (
+    ("+", Sum, lambda left, right, max_order: sum_series(left, right)),
+    ("*", Product, lambda left, right, max_order: product_series(left, right, max_order)),
+    ("<|", Compose, lambda left, right, max_order: compose_series(left, right, max_order)),
+)
+# binding level of each operator, keyed by its token and by its node class
+_LEVEL = {key: level for level, (token, cls, _) in enumerate(_OPERATORS) for key in (token, cls)}
+_PUNCTUATION = tuple(token for token, _, _ in _OPERATORS) + ("(", ")")
+_FOLLOWS_OPERAND = frozenset(f"'{token}'" for token, _, _ in _OPERATORS)
 
 
 def _tokenize(text: str):
-    tokens = []  # (kind, value, offset)
-    i = 0
-    n = len(text)
+    """(kind, value, offset) triples; kind "bad" marks a character that the
+    parser reports against what it expected there."""
+    tokens = []
+    i, n = 0, len(text)
     while i < n:
-        ch = text[i]
-        if ch.isspace():
+        start = i
+        if text[i].isspace():
             i += 1
             continue
-        if ch in "+*()":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch == "<":
-            if i + 1 < n and text[i + 1] == "|":
-                tokens.append(("<|", "<|", i))
-                i += 2
-                continue
-            raise ParseError(f"stray '<' at offset {i}", i, {"'<|'"})
-        if ch.isalpha() or ch == "_":
-            start = i
+        kind = next((p for p in _PUNCTUATION if text.startswith(p, i)), None)
+        if kind is not None:
+            i += len(kind)
+        elif text[i].isalpha() or text[i] == "_":
+            kind = "name"
             while i < n and (text[i].isalnum() or text[i] == "_"):
                 i += 1
-            tokens.append(("name", text[start:i], start))
-            continue
-        raise ParseError(f"unexpected character {ch!r} at offset {i}", i, {"identifier", "'('"})
+        else:
+            kind = "bad"
+            i += 1
+        tokens.append((kind, text[start:i], start))
     tokens.append(("end", "", n))
     return tokens
 
@@ -88,68 +94,51 @@ def parse(text: str) -> ExprNode:
     tokens = _tokenize(text)
     pos = 0
 
-    def peek():
-        return tokens[pos]
-
-    def take(kind):
-        nonlocal pos
-        tok = tokens[pos]
-        if tok[0] != kind:
-            raise ParseError(
-                f"expected {_TOKEN_KINDS.get(kind, kind)} at offset {tok[2]}, found {tok[1] or 'end of input'!r}",
-                tok[2],
-                {_TOKEN_KINDS.get(kind, kind)},
-            )
-        pos += 1
-        return tok
+    def fail(expected):
+        _, value, offset = tokens[pos]
+        raise ParseError(
+            f"expected {' or '.join(sorted(expected))} at offset {offset}, found {value or 'end of input'!r}",
+            offset,
+            expected,
+        )
 
     def atom():
-        tok = peek()
-        if tok[0] == "name":
-            take("name")
-            return Name(tok[1])
-        if tok[0] == "(":
-            take("(")
-            node = expr()
-            take(")")
-            return node
-        raise ParseError(
-            f"expected identifier or '(' at offset {tok[2]}, found {tok[1] or 'end of input'!r}",
-            tok[2],
-            {"identifier", "'('"},
-        )
+        nonlocal pos
+        kind, value, _ = tokens[pos]
+        if kind == "name":
+            pos += 1
+            return Name(value)
+        if kind != "(":
+            fail({"identifier", "'('"})
+        pos += 1
+        node = expr(0)
+        if tokens[pos][0] != ")":
+            fail(_FOLLOWS_OPERAND | {"')'"})
+        pos += 1
+        return node
 
-    def factor():
+    def expr(min_level):
+        # precedence climbing: an operator binding at least min_level joins the
+        # node so far to an operand of the operators binding tighter than itself
+        nonlocal pos
         node = atom()
-        while peek()[0] == "<|":
-            take("<|")
-            node = Compose(node, atom())
+        while (level := _LEVEL.get(tokens[pos][0], -1)) >= min_level:
+            pos += 1
+            node = _OPERATORS[level][1](node, expr(level + 1))
         return node
 
-    def term():
-        node = factor()
-        while peek()[0] == "*":
-            take("*")
-            node = Product(node, factor())
-        return node
-
-    def expr():
-        node = term()
-        while peek()[0] == "+":
-            take("+")
-            node = Sum(node, term())
-        return node
-
-    node = expr()
-    tok = peek()
-    if tok[0] != "end":
-        raise ParseError(
-            f"unexpected {tok[1]!r} at offset {tok[2]}", tok[2], {"'+'", "'*'", "'<|'", "end"}
-        )
+    node = expr(0)
+    if tokens[pos][0] != "end":
+        fail(_FOLLOWS_OPERAND | {"end"})
     return node
 
 
-_LEVEL = {Sum: 0, Product: 1, Compose: 2}
+def _split(node: ExprNode):
+    """(binding level, left operand, right operand) of an operator node."""
+    level = _LEVEL.get(type(node))
+    if level is None:
+        raise TypeError(f"not an expression node: {node!r}")
+    return (level, *(getattr(node, f.name) for f in fields(node)))
 
 
 def pretty(node: ExprNode) -> str:
@@ -158,17 +147,8 @@ def pretty(node: ExprNode) -> str:
     def render(n: ExprNode, level: int) -> str:
         if isinstance(n, Name):
             return n.value
-        if isinstance(n, Sum):
-            text = f"{render(n.left, 0)} + {render(n.right, 1)}"
-            own = 0
-        elif isinstance(n, Product):
-            text = f"{render(n.left, 1)} * {render(n.right, 2)}"
-            own = 1
-        elif isinstance(n, Compose):
-            text = f"{render(n.outer, 2)} <| {render(n.inner, 3)}"
-            own = 2
-        else:
-            raise TypeError(f"not an expression node: {n!r}")
+        own, left, right = _split(n)
+        text = f"{render(left, own)} {_OPERATORS[own][0]} {render(right, own + 1)}"
         return f"({text})" if own < level else text
 
     return render(node, 0)
@@ -185,14 +165,6 @@ def build(
             return bindings[node.value]
         except KeyError:
             raise ResolutionError(f"name {node.value!r} is not bound to a series") from None
-    if isinstance(node, Sum):
-        return sum_series(build(node.left, bindings, max_order), build(node.right, bindings, max_order))
-    if isinstance(node, Product):
-        return product_series(
-            build(node.left, bindings, max_order), build(node.right, bindings, max_order), max_order
-        )
-    if isinstance(node, Compose):
-        return compose_series(
-            build(node.outer, bindings, max_order), build(node.inner, bindings, max_order), max_order
-        )
-    raise TypeError(f"not an expression node: {node!r}")
+    level, left, right = _split(node)
+    operation = _OPERATORS[level][2]
+    return operation(build(left, bindings, max_order), build(right, bindings, max_order), max_order)

@@ -40,6 +40,7 @@ __all__ = [
     "eval_multivariate",
     "response_exponential",
     "response_comb",
+    "comb_signal",
 ]
 
 

@@ -30,6 +30,9 @@ __all__ = [
     "load_morphism",
 ]
 
+# written into every series and morphism manifest, and the only version read back
+_MANIFEST_VERSION = 1
+
 
 def write_signal_csv(path, signal):
     signal = np.asarray(signal, dtype=np.complex128)
@@ -155,13 +158,16 @@ def save_series(path, series: VolterraSeries):
                 "data": _pairs(padded.data),
             }
         )
-    manifest = {"version": 1, "memory": M, "kernels": entries}
+    _save_manifest(path, memory=M, kernels=entries)
+
+
+def _save_manifest(path, **fields) -> None:
     with open(path, "w") as fh:
-        json.dump(manifest, fh)
+        json.dump({"version": _MANIFEST_VERSION, **fields}, fh)
         fh.write("\n")
 
 
-def _load_manifest(path) -> dict:
+def _load_manifest(path, kind: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
@@ -171,13 +177,13 @@ def _load_manifest(path) -> dict:
             raise ContractViolation(f"{path}: not a valid manifest ({exc})") from None
     if not isinstance(manifest, dict):
         raise ContractViolation(f"{path}: manifest must be a JSON object")
+    if _field(path, manifest, "version", int) != _MANIFEST_VERSION:
+        raise ContractViolation(f"{path}: unsupported {kind} manifest version")
     return manifest
 
 
 def load_series(path) -> VolterraSeries:
-    manifest = _load_manifest(path)
-    if _field(path, manifest, "version", int) != 1:
-        raise ContractViolation(f"{path}: unsupported series manifest version")
+    manifest = _load_manifest(path, "series")
     M = _field(path, manifest, "memory", int)
     kernels = {}
     for entry in _field(path, manifest, "kernels", list):
@@ -200,16 +206,11 @@ def save_morphism(path, m: Morphism):
                 "mask": _pairs(m.masks[i]),
             }
         )
-    manifest = {"version": 1, "length": m.length, "components": components}
-    with open(path, "w") as fh:
-        json.dump(manifest, fh)
-        fh.write("\n")
+    _save_manifest(path, length=m.length, components=components)
 
 
 def load_morphism(path) -> Morphism:
-    manifest = _load_manifest(path)
-    if _field(path, manifest, "version", int) != 1:
-        raise ContractViolation(f"{path}: unsupported morphism manifest version")
+    manifest = _load_manifest(path, "morphism")
     L = _field(path, manifest, "length", (int, type(None)))
     index_map, matrices, masks = {}, {}, {}
     for comp in _field(path, manifest, "components", list):

@@ -65,8 +65,8 @@ __all__ = [
 ]
 
 
-# Delays per batched shift bank (and STFT rows per block): 64 rows of an
-# L = 1024 signal are 1 MiB of complex samples.
+# Delays per batched shift bank of ``pwvd``: 64 rows of an L = 1024 signal
+# are 1 MiB of complex samples.
 _BLOCK = 64
 
 
@@ -318,11 +318,8 @@ def stft(x, window) -> np.ndarray:
         raise ContractViolation("window and signal lengths differ")
     L = x.size
     frames = _shift_matrix(np.conj(w), L)  # frames[n, t] = conj(w(t - n))
-    S = np.empty((L, L), dtype=np.complex128)
-    for n0 in range(0, L, _BLOCK):
-        rows = S[n0 : n0 + _BLOCK]
-        np.multiply(x, frames[n0 : n0 + _BLOCK], out=rows)
-        np.fft.fft(rows, axis=1, out=rows)
+    S = x * frames
+    np.fft.fft(S, axis=1, out=S)
     return S
 
 

@@ -41,6 +41,21 @@ def test_parse_error_carries_offset_and_expected():
     assert err.value.offset == 2
 
 
+@pytest.mark.parametrize(
+    "text, offset, expected",
+    [
+        # after an operand only an operator or what closes the operand can follow
+        ("A | B", 2, {"'+'", "'*'", "'<|'", "end"}),
+        ("(A B", 3, {"'+'", "'*'", "'<|'", "')'"}),
+    ],
+)
+def test_parse_error_expects_what_can_follow_an_operand(text, offset, expected):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.offset == offset
+    assert err.value.expected == expected
+
+
 def random_tree(rng, depth):
     names = ["A", "B", "C", "D"]
     if depth == 0 or rng.random() < 0.3:

@@ -330,6 +330,22 @@ def test_cli_tfd_pwvd_k6_needs_lambda3(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--method", "pwvd", "--k", "6"], ["--method", "pwvd", "--k", "3"],
+     ["--method", "cohen", "--phi", "spectrogram"]],
+)
+def test_cli_cross_flag_usage_error_is_one_error_line(flags, tmp_path, capsys):
+    spath = tmp_path / "s.csv"
+    io.write_signal_csv(spath, np.exp(2j * np.pi * 9 * np.arange(64) / 64))
+    out = tmp_path / "p.csv"
+    code = main(["tfd", "--in", str(spath), *flags, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_cli_lambdas_domain_error(capsys):
     assert main(["lambdas", "--k", "6", "--lambda3", "0.4"]) == 1
     assert main(["lambdas", "--k", "6", "--lambda3", "0.62"]) == 0
@@ -392,6 +408,23 @@ def test_cli_bad_usage_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 2
+
+
+def test_cli_negative_seed_is_bad_usage(tmp_path, rng, capsys):
+    V = random_series(2, 3, rng)
+    W, m = catalog("autoconvolution", V, 12)
+    mfile = tmp_path / "m.vm"
+    io.save_morphism(mfile, m)
+    with pytest.raises(SystemExit) as exc:
+        main(
+            [
+                "morph", "--check-naturality", "--morphism", str(mfile),
+                "--source", write_series(tmp_path, "v.vk", V),
+                "--target", write_series(tmp_path, "w.vk", W), "--seed", "-1",
+            ]
+        )
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 GOOD_KERNEL = {"index": 1, "order": 2, "data": [[1.0, 0.0]] * 4}
