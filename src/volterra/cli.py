@@ -208,6 +208,12 @@ def _non_negative_int(text: str) -> int:
     return int(text)
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="volterra", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -231,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--check-naturality", action="store_true")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_positive_int, default=20)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--signal")
     p.add_argument("--out")

@@ -15,11 +15,17 @@ Discrete conventions, fixed once for the whole module:
   Multiplying there is the exact Fourier dual of 2-D smoothing of the
   distribution, and it keeps the spectrogram and Rihaczek identities
   exact for band-limited analytic inputs.
+* Bilinear and polynomial lag products are Hermitian in the lag,
+  R(n, -m) = conj R(n, m), so only half-lags m >= 0 are built.  Wigner
+  and polynomial-Wigner rows are real: one Hermitian transform (``hfft``)
+  over bins 0..L/4 each.  Doppler transforms run over the m >= 0 columns
+  and take the rest from A(xi, -m) = conj A(-xi, m).
 * Fractional delays use spectral phase ramps with signed frequencies.
   The polynomial and higher-order distributions take the signal's FFT
-  once and read their delayed copies from batched inverse FFTs: ``pwvd``
-  in blocks of ``_BLOCK`` half-lags, ``howvd`` from one bank holding
-  every delay its lag lattice reads.
+  once and read their delayed copies from batched FFTs: ``pwvd`` in
+  blocks of ``_BLOCK`` half-lags over one period of whole-sample delay
+  steps per lag scaling, ``howvd`` from one bank holding every delay its
+  lag lattice reads.
 """
 
 from __future__ import annotations
@@ -66,8 +72,12 @@ __all__ = [
 
 
 # Delays per batched shift bank of ``pwvd``: 64 rows of an L = 1024 signal
-# are 1 MiB of complex samples.
-_BLOCK = 64
+# are 1 MiB of complex samples per sign.  Their phase ramps are products of
+# the block's first ramp with _SPLIT coarse and _SPLIT fine steps, computed
+# once per lag scaling, so a block takes one row of complex exponentials
+# instead of 64.
+_SPLIT = 8
+_BLOCK = _SPLIT * _SPLIT
 
 
 def _even_grid(x, where: str) -> np.ndarray:
@@ -176,11 +186,13 @@ def _half_lags(L: int) -> np.ndarray:
     return np.arange(-M0, M0 + 1)
 
 
-def _lag_products(x: np.ndarray, boundary: str = "circular") -> np.ndarray:
-    """R[n, i] = x(n + m_i) conj(x(n - m_i)) over the symmetric half-lag axis.
+def _half_lag_products(x: np.ndarray, boundary: str = "circular", out=None) -> np.ndarray:
+    """R[n, m] = x(n + m) conj(x(n - m)) over half-lags 0 <= m <= L/4, into ``out``.
 
-    ``boundary="circular"`` wraps the indices mod L; ``"finite"`` zeroes any
-    product whose reads leave [0, L), treating the record as finite.
+    The products are Hermitian in the lag, R(n, -m) = conj R(n, m), so no
+    grid builds the m < 0 half.  ``boundary="circular"`` wraps the indices
+    mod L; ``"finite"`` zeroes any product whose reads leave [0, L),
+    treating the record as finite.
     """
     if boundary not in ("circular", "finite"):
         raise ContractViolation(f"boundary must be 'circular' or 'finite', got {boundary!r}")
@@ -188,22 +200,76 @@ def _lag_products(x: np.ndarray, boundary: str = "circular") -> np.ndarray:
     # padded[n + M0 + m] = x(n + m): wrapped, or zero outside a finite record
     padded = np.pad(x, M0, mode="wrap" if boundary == "circular" else "constant")
     window = sliding_window_view(padded, 2 * M0 + 1)  # window[n, M0 + m] = x(n + m)
-    R = np.conj(window[:, ::-1])
-    R *= window
+    R = np.conjugate(window[:, M0::-1], out=out)
+    R *= window[:, M0:]
     return R
 
 
-def _lag_transform(R: np.ndarray, L: int) -> np.ndarray:
-    """Fold the signed half-lag axis mod L/2 and DFT it: rows of the TFD.
+def _signed_lags(R: np.ndarray) -> np.ndarray:
+    """The signed half-lag axis -M0 .. M0 from its m >= 0 half, by R(-m) = conj R(m)."""
+    M0 = R.shape[1] - 1
+    full = np.empty((R.shape[0], 2 * M0 + 1), dtype=np.complex128)
+    full[:, M0:] = R
+    np.conjugate(R[:, :0:-1], out=full[:, :M0])
+    return full
+
+
+def _grid(L: int) -> np.ndarray:
+    """Zeros for an (L, L/2) grid.
+
+    Grids take it before building their lag products, so those temporaries
+    are freed above the grid that outlives them instead of leaving a hole
+    below it, which held the process's peak memory up.
+    """
+    return np.zeros((L, L // 2), dtype=np.complex128)
+
+
+def _hermitian_lag_transform(R: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Rows of the TFD from the m >= 0 half of lag products with R(-m) = conj R(m).
+
+    The folded lag sequence is Hermitian, so each row's DFT is real and is
+    one real inverse FFT of length L/2 over bins 0..L/4 (``hfft``), written
+    into the real part of the ``_grid`` W.  The endpoints +-L/4 share bin
+    L/4 when L = 0 (mod 4), so that column is doubled.  Conjugates R in
+    place.
+    """
+    half = W.shape[1]
+    np.conjugate(R, out=R)
+    if half % 2 == 0:
+        R[:, -1] *= 2
+    np.fft.irfft(R, half, axis=1, norm="forward", out=W.real)
+    return W
+
+
+def _lag_transform(R: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Fold the signed half-lag axis mod L/2 into the ``_grid`` W and DFT it.
 
     Half-lags 0..M0 land on bins 0..M0 and -M0..-1 on bins L/2-M0..L/2-1,
-    so the endpoints +-L/4 share bin L/4 only when L = 0 (mod 4).
+    so the endpoints +-L/4 share bin L/4 only when L = 0 (mod 4).  Only
+    lag products that are not Hermitian take this complex transform:
+    Cohen's, for a general parameter function, and a smoothing hook's.
     """
-    half, M0 = L // 2, L // 4
-    folded = np.zeros((R.shape[0], half), dtype=np.complex128)
-    folded[:, : M0 + 1] += R[:, M0:]
-    folded[:, half - M0 :] += R[:, :M0]
-    return np.fft.fft(folded, axis=1, out=folded)
+    half, M0 = W.shape[1], W.shape[1] // 2
+    W[:, : M0 + 1] = R[:, M0:]
+    W[:, M0 + 1 :] = R[:, 2 * M0 + 1 - half : M0]
+    if half % 2 == 0:
+        W[:, M0] += R[:, 0]
+    return np.fft.fft(W, axis=1, out=W)
+
+
+def _doppler_lags(x: np.ndarray) -> np.ndarray:
+    """A[xi, i] = sum_n x(n + m_i) conj(x(n - m_i)) exp(-2i pi xi n / L), signed m_i.
+
+    Only the m >= 0 columns are transformed along time; the m < 0 columns
+    are A(xi, -m) = conj A(-xi, m).
+    """
+    L, M0 = x.size, x.size // 4
+    A = np.empty((L, 2 * M0 + 1), dtype=np.complex128)
+    pos = _half_lag_products(x, out=A[:, M0:])
+    np.fft.fft(pos, axis=0, out=pos)
+    np.conjugate(pos[0, :0:-1], out=A[0, :M0])
+    np.conjugate(pos[:0:-1, :0:-1], out=A[1:, :M0])
+    return A
 
 
 def _warn_if_not_analytic(x: np.ndarray, where: str):
@@ -229,7 +295,8 @@ def wvd(x, boundary: str = "circular") -> TFDGrid:
     x = _even_grid(x, "wvd")
     _warn_if_not_analytic(x, "wvd")
     L = x.size
-    return TFDGrid(_lag_transform(_lag_products(x, boundary), L), 1.0 / L)
+    W = _grid(L)
+    return TFDGrid(_hermitian_lag_transform(_half_lag_products(x, boundary), W), 1.0 / L)
 
 
 @dataclass(frozen=True)
@@ -267,7 +334,7 @@ class ParameterFunction:
 def unit_parameter(L: int) -> ParameterFunction:
     """phi == 1: Cohen's class member equal to the Wigner distribution."""
     ms = _half_lags(L)
-    return ParameterFunction(np.ones((L, ms.size)), ms)
+    return ParameterFunction(np.ones((L, ms.size), dtype=np.complex128), ms)
 
 
 def _endpoint_weights(L: int) -> np.ndarray:
@@ -300,14 +367,13 @@ def ambiguity(h) -> ParameterFunction:
     value is the window energy.
     """
     h = _even_grid(h, "ambiguity")
-    R = _lag_products(h)
-    return ParameterFunction(np.fft.fft(R, axis=0, out=R), _half_lags(h.size))
+    return ParameterFunction(_doppler_lags(h), _half_lags(h.size))
 
 
 def spectrogram_parameter(window) -> ParameterFunction:
     """Conjugate ambiguity function of the analysis window."""
-    amb = ambiguity(window)
-    return ParameterFunction(np.conj(amb.values), amb.lags)
+    A = ambiguity(window).values
+    return ParameterFunction(np.conjugate(A, out=A), _half_lags(A.shape[0]))
 
 
 def stft(x, window) -> np.ndarray:
@@ -334,11 +400,11 @@ def cohen(x, phi: ParameterFunction) -> TFDGrid:
     L = x.size
     if phi.length != L or not np.array_equal(phi.lags, _half_lags(L)):
         raise ContractViolation("parameter function grid does not match the signal grid")
-    A = _lag_products(x)
-    np.fft.fft(A, axis=0, out=A)
+    W = _grid(L)
+    A = _doppler_lags(x)
     A *= phi.values
     np.fft.ifft(A, axis=0, out=A)
-    return TFDGrid(_lag_transform(A, L), 1.0 / L)
+    return TFDGrid(_lag_transform(A, W), 1.0 / L)
 
 
 def cohen_volterra_kernel(phi: ParameterFunction, f_bin: int) -> VolterraKernel:
@@ -351,13 +417,18 @@ def cohen_volterra_kernel(phi: ParameterFunction, f_bin: int) -> VolterraKernel:
     exp(-4i pi f u / L).
     """
     L = phi.length
-    pi_cm = np.fft.ifft(phi.values, axis=0)  # (c, lag index)
     ms = phi.lags
+    if not np.array_equal(ms, _half_lags(L)):
+        raise ContractViolation("parameter function lags must be the signed half-lag axis")
+    pi_cm = np.fft.ifft(phi.values, axis=0)  # (c, lag index)
     ramp = np.exp(-2j * np.pi * f_bin * (2 * ms) / L)
+    values = pi_cm * ramp + 0.0  # -0.0 becomes 0.0, as when summed into zeros
     h = np.zeros((L, L), dtype=np.complex128)
     c = np.arange(L)[:, None]
-    # add.at accumulates the +-L/4 endpoints that land on one cell when L = 0 (mod 4)
-    np.add.at(h, ((c + ms) % L, (c - ms) % L), pi_cm * ramp)
+    # cells (c + m, c - m) are distinct except that (c, L/4) and (c + L/2, -L/4)
+    # coincide when L = 0 (mod 4), so the -L/4 column is added after the rest
+    h[(c + ms[1:]) % L, (c - ms[1:]) % L] = values[:, 1:]
+    h[(c[:, 0] + ms[0]) % L, (c[:, 0] - ms[0]) % L] += values[:, 0]
     return VolterraKernel(2, L, h)
 
 
@@ -520,34 +591,73 @@ def check_lambda_constraints(ls: LambdaSet, p: int) -> LambdaReport:
     )
 
 
-def _pwvd_lag_products(x: np.ndarray, ls: LambdaSet, radius: int) -> np.ndarray:
-    """R[n, i] = prod_l x(n + lambda_l 2m_i) conj(x(n - lambda_l 2m_i)), |m_i| <= radius.
+def _integer_period(lam: float, radius: int) -> tuple[int, int]:
+    """Smallest p <= radius whose delay step 2 lam p is a whole number q of samples.
 
-    Half-lags m >= 0 go in blocks of ``_BLOCK``: per distinct lambda, one
-    batched ifft per sign reads x(n +- lambda 2m) for the whole block, and a
-    repeated lambda is raised to its multiplicity.  The m < 0 half is
-    R(-m) = conj R(m), which the antisymmetric lambda convention guarantees.
-    Lags beyond ``radius`` stay zero.
+    Returns (p, q), or (radius + 1, 0) when no such p exists.
+    """
+    for p in range(1, radius + 1):
+        q = 2 * lam * p
+        if q.is_integer():
+            return p, int(q)
+    return radius + 1, 0
+
+
+def _shifted_rows(bank: np.ndarray, q: int, K: int) -> np.ndarray:
+    """rows[k, r, n] = bank[r, (n + q k) mod L] for k < K, a view of one padded copy."""
+    L = bank.shape[1]
+    S = abs(q) * (K - 1)
+    if S:
+        bank = np.pad(bank, ((0, 0), (0, S) if q > 0 else (S, 0)), mode="wrap")
+    return sliding_window_view(bank, L, axis=1)[:, :: q or 1].transpose(1, 0, 2)
+
+
+def _pwvd_lag_products(x: np.ndarray, ls: LambdaSet, radius: int) -> np.ndarray:
+    """R[n, m] = prod_l x(n + lambda_l 2m) conj(x(n - lambda_l 2m)), 0 <= m <= L/4.
+
+    The m < 0 half is R(-m) = conj R(m), which the antisymmetric lambda
+    convention guarantees, and lags beyond ``radius`` are zero.  Per
+    distinct lambda with period (p, q) from ``_integer_period``, only the
+    delays of half-lags 0 .. p-1 are transformed, in blocks of ``_BLOCK``:
+    x(n + d) = ifft(X r_d) and conj x(n - d) = fft(conj(X) r_d) / L share
+    the ramp r_d, so one broadcast multiply fills both rows of a delay.
+    Half-lag r + k p then reads those rows shifted by q k whole samples,
+    and a repeated lambda is raised to its multiplicity.
     """
     L = x.size
     M0 = L // 4
     X = np.fft.fft(x)
-    RT = np.zeros((2 * M0 + 1, L), dtype=np.complex128)  # (lag, time)
-    pos = RT[M0 : M0 + radius + 1]  # half-lags 0 .. radius
-    pos[:] = 1.0
+    XX = np.stack([X, np.conj(X) / L])[:, None, None, :]
+    periods = {lam: _integer_period(lam, radius) for lam in set(ls.lambdas)}
+    rows = max(-(-(radius + 1) // p) * p for p, _ in periods.values())
+    RT = np.ones((max(rows, M0 + 1), L), dtype=np.complex128)  # (half-lag, time)
+    # one block of delays, both signs, for every lambda
+    block_rows = min(_BLOCK, max(p for p, _ in periods.values()))
+    banks = np.empty((2, -(-block_rows // _SPLIT) * _SPLIT, L), dtype=np.complex128)
     for lam, mult in Counter(ls.lambdas).items():
-        # the ramp of delay lambda 2(m0 + j) is that of lambda 2 m0 times that of lambda 2j
-        steps = _phase_ramps(L, lam * 2 * np.arange(min(_BLOCK, radius + 1)))
-        for m0 in range(0, radius + 1, _BLOCK):
-            block = pos[m0 : m0 + _BLOCK]
-            ramps = steps[: block.shape[0]] * _phase_ramps(L, lam * 2 * m0)
-            plus = np.fft.ifft(X * ramps, axis=1)
-            np.conj(ramps, out=ramps)
-            ramps *= X
-            plus *= np.conj(np.fft.ifft(ramps, axis=1))
-            block *= plus if mult == 1 else plus**mult
-    RT[M0 - radius : M0] = np.conj(pos[:0:-1])
-    return RT.T
+        p, q = periods[lam]
+        K = -(-(radius + 1) // p)
+        shared = RT[: K * p].reshape(K, p, L)  # shared[k, r] is half-lag r + k p
+        # the ramp of delay 2 lambda (r0 + s a + b) is the product of those of
+        # 2 lambda r0, 2 lambda s a (coarse) and 2 lambda b (fine)
+        s = min(_SPLIT, p)
+        fine = _phase_ramps(L, 2 * lam * np.arange(s))
+        coarse = _phase_ramps(L, 2 * lam * s * np.arange(-(-min(_BLOCK, p) // s)))
+        for r0 in range(0, p, _BLOCK):
+            B = min(_BLOCK, p - r0)
+            heads = coarse[: -(-B // s)] * _phase_ramps(L, 2 * lam * r0)
+            bank = banks[:, : heads.shape[0] * s]
+            np.multiply(XX * heads[:, None, :], fine, out=bank.reshape(2, -1, s, L))
+            bank = bank[:, :B]
+            np.fft.ifft(bank[0], axis=1, out=bank[0])  # x(n + d)
+            np.fft.fft(bank[1], axis=1, out=bank[1])  # conj x(n - d)
+            if mult > 1:
+                bank **= mult
+            block = shared[:, r0 : r0 + B]
+            block *= _shifted_rows(bank[0], q, K)
+            block *= _shifted_rows(bank[1], -q, K)
+    RT[radius + 1 :] = 0.0
+    return RT[: M0 + 1].T
 
 
 def pwvd(x, ls: LambdaSet, smoothing=None, max_half_lag: int | None = None) -> TFDGrid:
@@ -556,16 +666,19 @@ def pwvd(x, ls: LambdaSet, smoothing=None, max_half_lag: int | None = None) -> T
     Sums the scaled-lag products over the even lag lattice tau = 2m,
     |m| <= max_half_lag (default L/4), then applies the same lag transform
     as the bilinear case, so a pure tone lands on its own bin (guaranteed
-    by the half-sum constraint).  The fractional reads x(t +- lambda tau)
-    come from one FFT of x and, per block of ``_BLOCK`` half-lags m >= 0
-    and distinct lambda, one batched inverse FFT per sign; the m < 0 half
-    follows from R(-m) = conj R(m), and lags with |m| > max_half_lag are
-    never computed.  Orders with scalings above 1/2 read the signal
-    beyond +-tau/2; shrinking ``max_half_lag`` keeps those reads from
-    wrapping around the circle at the cost of frequency resolution.
-    ``smoothing``, if given, maps the (time, lag) product array of shape
-    (L, 2 floor(L/4) + 1) to a filtered one before the transform: the
-    pass-through hook for higher-order smoothing kernels.
+    by the half-sum constraint).  Only half-lags 0 <= m <= max_half_lag
+    are built, as R(-m) = conj R(m), and each row is one Hermitian
+    transform.  The fractional reads x(t +- lambda tau) come from one FFT
+    of x and batched transforms over one period of delays per distinct
+    lambda (see ``_pwvd_lag_products``): two delays for the shipped k = 4
+    pair.  Orders with scalings above 1/2 read the signal beyond +-tau/2;
+    shrinking ``max_half_lag`` keeps those reads from wrapping around the
+    circle at the cost of frequency resolution.
+    ``smoothing``, if given, maps the (time, signed lag) product array of
+    shape (L, 2 floor(L/4) + 1) to a filtered one before the transform:
+    the pass-through hook for higher-order smoothing kernels.  Output
+    still Hermitian in the lag takes the real transform, any other the
+    complex one.
     """
     x = _even_grid(x, "pwvd")
     L = x.size
@@ -573,12 +686,17 @@ def pwvd(x, ls: LambdaSet, smoothing=None, max_half_lag: int | None = None) -> T
     radius = L // 4 if max_half_lag is None else int(max_half_lag)
     if not 0 < radius <= L // 4:
         raise ContractViolation(f"max_half_lag must be in [1, L/4], got {radius}")
+    W = _grid(L)
     R = _pwvd_lag_products(x, ls, radius)
-    if smoothing is not None:
-        R = np.asarray(smoothing(R), dtype=np.complex128)
-        if R.shape != (L, _half_lags(L).size):
-            raise ContractViolation("smoothing hook must preserve the (time, lag) shape")
-    return TFDGrid(_lag_transform(R, L), 1.0 / L)
+    if smoothing is None:
+        return TFDGrid(_hermitian_lag_transform(R, W), 1.0 / L)
+    R = np.asarray(smoothing(_signed_lags(R)), dtype=np.complex128)
+    if R.shape != (L, _half_lags(L).size):
+        raise ContractViolation("smoothing hook must preserve the (time, lag) shape")
+    M0 = L // 4
+    if np.array_equal(R[:, :M0], np.conj(R[:, :M0:-1])):
+        return TFDGrid(_hermitian_lag_transform(R[:, M0:].copy(), W), 1.0 / L)
+    return TFDGrid(_lag_transform(R, W), 1.0 / L)
 
 
 @dataclass(frozen=True)
@@ -634,7 +752,7 @@ class PwvdKernelDescriptor:
         if abs(sum(self.lambdas.lambdas) - 0.5) > 1e-9:
             return np.zeros(L, dtype=np.complex128)
         weights = np.exp(-2j * np.pi * self.f_bin * 2 * _half_lags(L) / L)
-        return _pwvd_lag_products(z, self.lambdas, L // 4) @ weights
+        return _signed_lags(_pwvd_lag_products(z, self.lambdas, L // 4)) @ weights
 
 
 def pwvd_volterra_kernel(k: int, ls: LambdaSet, f_bin: int) -> PwvdKernelDescriptor:

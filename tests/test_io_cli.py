@@ -266,17 +266,18 @@ def test_cli_morph_check_naturality_needs_a_trial(trials, tmp_path, rng, capsys)
     wk = write_series(tmp_path, "w.vk", W)
     mfile = tmp_path / "m.vm"
     io.save_morphism(mfile, m)
-    code = main(
-        [
-            "morph", "--check-naturality",
-            "--morphism", str(mfile), "--source", vk, "--target", wk,
-            "--trials", trials,
-        ]
-    )
+    with pytest.raises(SystemExit) as exc:
+        main(
+            [
+                "morph", "--check-naturality",
+                "--morphism", str(mfile), "--source", vk, "--target", wk,
+                "--trials", trials,
+            ]
+        )
     captured = capsys.readouterr()
-    assert code == 1
+    assert exc.value.code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and "trials" in captured.err
+    assert "--trials" in captured.err
 
 
 def test_cli_morph_apply(tmp_path, rng, capsys):

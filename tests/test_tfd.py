@@ -576,6 +576,14 @@ def test_wvd_matches_definition(Ld, boundary, rng):
 
 
 @pytest.mark.parametrize("Ld", DEF_LENGTHS)
+def test_ambiguity_matches_definition(Ld, rng):
+    # the m < 0 columns come from A(xi, -m) = conj A(-xi, m), not from a transform
+    h = rng.standard_normal(Ld) + 1j * rng.standard_normal(Ld)
+    F = np.exp(-2j * np.pi * np.outer(np.arange(Ld), np.arange(Ld)) / Ld)
+    assert rel_err(ambiguity(h).values, F @ direct_lag_products(h)) <= 1e-9
+
+
+@pytest.mark.parametrize("Ld", DEF_LENGTHS)
 def test_cohen_matches_definition(Ld, rng):
     x = rng.standard_normal(Ld) + 1j * rng.standard_normal(Ld)
     ms = np.arange(-(Ld // 4), Ld // 4 + 1)
@@ -601,20 +609,61 @@ def test_stft_rows_match_direct_dft(Ld, rng):
 @pytest.mark.parametrize("Ld", DEF_LENGTHS)
 @pytest.mark.parametrize(
     "ls, max_half_lag",
-    [(pwvd_lambdas(4), None), (pwvd_lambdas(6, 0.62), None), (pwvd_lambdas(6, 0.7), 9)],
-    ids=["k4", "k6", "k6-short"],
+    [
+        (pwvd_lambdas(4), None),
+        (pwvd_lambdas(6, 0.62), None),
+        (pwvd_lambdas(6, 0.7), 9),
+        # 2 lambda_3 = 5/4: half-lag m + 4 reads the delays of m shifted by 5 samples
+        (pwvd_lambdas(6, 0.625), None),
+        # the k = 4 delays repeat every 2 half-lags, beyond a radius of 1
+        (pwvd_lambdas(4), 1),
+    ],
+    ids=["k4", "k6", "k6-short", "k6-period4", "k4-below-period"],
 )
 def test_pwvd_matches_definition(Ld, ls, max_half_lag, rng):
     x = rng.standard_normal(Ld) + 1j * rng.standard_normal(Ld)
     radius = Ld // 4 if max_half_lag is None else max_half_lag
-    ms = np.arange(-(Ld // 4), Ld // 4 + 1)
-    times = np.arange(Ld)[:, None]
-    R = np.ones((Ld, ms.size), dtype=complex)
+    got = quiet(pwvd, x, ls, max_half_lag=max_half_lag).values
+    assert rel_err(got, direct_pwvd_products(x, ls, radius) @ lag_dft(Ld)) <= 1e-9
+
+
+def direct_pwvd_products(x, ls, radius):
+    n = x.size
+    ms = np.arange(-(n // 4), n // 4 + 1)
+    times = np.arange(n)[:, None]
+    R = np.ones((n, ms.size), dtype=complex)
     for lam in ls.lambdas:
         R *= trig_interp(x, times + lam * 2 * ms) * np.conj(trig_interp(x, times - lam * 2 * ms))
     R[:, np.abs(ms) > radius] = 0.0
-    got = quiet(pwvd, x, ls, max_half_lag=max_half_lag).values
-    assert rel_err(got, R @ lag_dft(Ld)) <= 1e-9
+    return R
+
+
+@pytest.mark.parametrize("Ld", DEF_LENGTHS)
+def test_pwvd_non_hermitian_hook_matches_definition(Ld, rng):
+    # lag weights that differ between m and -m break R(-m) = conj R(m)
+    x = rng.standard_normal(Ld) + 1j * rng.standard_normal(Ld)
+    ls = pwvd_lambdas(4)
+    weights = 1.0 + np.arange(-(Ld // 4), Ld // 4 + 1) / Ld
+    got = quiet(pwvd, x, ls, smoothing=lambda R: R * weights).values
+    want = (direct_pwvd_products(x, ls, Ld // 4) * weights) @ lag_dft(Ld)
+    assert rel_err(got, want) <= 1e-9
+
+
+@pytest.mark.parametrize("Ld", DEF_LENGTHS)
+@pytest.mark.parametrize(
+    "grid",
+    [
+        wvd,
+        lambda x: wvd(x, boundary="finite"),
+        lambda x: pwvd(x, pwvd_lambdas(4)),
+        lambda x: pwvd(x, pwvd_lambdas(6, 0.62), max_half_lag=7),
+        lambda x: pwvd(x, pwvd_lambdas(4), smoothing=lambda R: 0.5 * R),
+    ],
+    ids=["wvd", "wvd-finite", "pwvd4", "pwvd6-short", "pwvd4-hook"],
+)
+def test_wigner_grids_are_exactly_real(Ld, grid, rng):
+    x = rng.standard_normal(Ld) + 1j * rng.standard_normal(Ld)
+    assert np.all(quiet(grid, x).values.imag == 0)
 
 
 @pytest.mark.parametrize("Ld", [32, 30])
@@ -655,6 +704,19 @@ def test_grid_peak_memory_at_1024():
     assert traced_peak_mib(stft, x, h) <= 16.3 * 1.05
     # the (L, L/2 + 1) lag products, the folded grid and block temporaries
     assert traced_peak_mib(quiet, pwvd, x, pwvd_lambdas(6, 0.62)) <= 24.1 * 1.05
+
+
+def test_wigner_grid_peak_memory_at_1024():
+    Lm = 1024
+    x = analytic_signal(np.cos(2 * np.pi * 0.09 * np.arange(Lm)))
+    # the (L, L/4 + 1) half-lag products and the (L, L/2) grid, plus at most 5 %
+    assert traced_peak_mib(quiet, wvd, x) <= 12.2 * 1.05
+    assert traced_peak_mib(quiet, pwvd, x, pwvd_lambdas(4)) <= 12.7 * 1.05
+
+
+def test_cohen_kernel_needs_the_signed_half_lag_axis():
+    with pytest.raises(ContractViolation, match="half-lag axis"):
+        cohen_volterra_kernel(ParameterFunction(np.ones((8, 2)), [0, 1]), 0)
 
 
 def test_parameter_function_origin_value_needs_a_zero_half_lag():
