@@ -20,6 +20,13 @@ Discrete conventions, fixed once for the whole module:
   and polynomial-Wigner rows are real: one Hermitian transform (``hfft``)
   over bins 0..L/4 each.  Doppler transforms run over the m >= 0 columns
   and take the rest from A(xi, -m) = conj A(-xi, m).
+* A Cohen distribution is real exactly when its parameter function obeys
+  phi(-xi, -m) = conj phi(xi, m) (the unit and spectrogram members, not
+  Rihaczek): its smoothed lag products stay Hermitian in the lag, so such
+  a phi takes the same half-lag route and Hermitian transform.
+* Real distributions are float64 grids; only a Cohen grid of a phi
+  without that symmetry, a smoothing hook that breaks it, and ``howvd``
+  stay complex.
 * Fractional delays use spectral phase ramps with signed frequencies.
   The polynomial and higher-order distributions take the signal's FFT
   once and read their delayed copies from batched FFTs: ``pwvd`` in
@@ -124,14 +131,19 @@ class TFDGrid:
     """Time-frequency matrix with declared frequency scaling.
 
     ``values[t, k]`` covers time sample t and frequency ``k * freq_scale``
-    cycles per sample.
+    cycles per sample.  A real array is kept as float64 and a complex one
+    as complex128: ``wvd``, ``pwvd`` and ``cohen`` with a phi obeying
+    phi(-xi, -m) = conj phi(xi, m) return float64 grids; ``cohen`` with
+    any other phi and ``pwvd`` whose smoothing hook breaks the lag
+    symmetry return complex128 ones.
     """
 
     values: np.ndarray
     freq_scale: float
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.complex128)
+        values = np.asarray(self.values)
+        values = np.asarray(values, dtype=np.complex128 if np.iscomplexobj(values) else np.float64)
         if values.ndim != 2:
             raise ContractViolation(f"TFD grid must be 2-d, got shape {values.shape}")
         object.__setattr__(self, "values", values)
@@ -214,14 +226,14 @@ def _signed_lags(R: np.ndarray) -> np.ndarray:
     return full
 
 
-def _grid(L: int) -> np.ndarray:
-    """Zeros for an (L, L/2) grid.
+def _grid(L: int, dtype) -> np.ndarray:
+    """Zeros for an (L, L/2) grid: float64 for a real TFD, complex128 otherwise.
 
     Grids take it before building their lag products, so those temporaries
     are freed above the grid that outlives them instead of leaving a hole
     below it, which held the process's peak memory up.
     """
-    return np.zeros((L, L // 2), dtype=np.complex128)
+    return np.zeros((L, L // 2), dtype=dtype)
 
 
 def _hermitian_lag_transform(R: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -229,20 +241,18 @@ def _hermitian_lag_transform(R: np.ndarray, W: np.ndarray) -> np.ndarray:
 
     The folded lag sequence is Hermitian, so each row's DFT is real and is
     one real inverse FFT of length L/2 over bins 0..L/4 (``hfft``), written
-    into the real part of the ``_grid`` W.  The endpoints +-L/4 share bin
-    L/4 when L = 0 (mod 4), so that column is doubled.  Conjugates R in
-    place.
+    into the float64 ``_grid`` W.  The endpoints +-L/4 share bin L/4 when
+    L = 0 (mod 4), so that column is doubled.  Conjugates R in place.
     """
     half = W.shape[1]
     np.conjugate(R, out=R)
     if half % 2 == 0:
         R[:, -1] *= 2
-    np.fft.irfft(R, half, axis=1, norm="forward", out=W.real)
-    return W
+    return np.fft.irfft(R, half, axis=1, norm="forward", out=W)
 
 
 def _lag_transform(R: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Fold the signed half-lag axis mod L/2 into the ``_grid`` W and DFT it.
+    """Fold the signed half-lag axis mod L/2 into the complex ``_grid`` W and DFT it.
 
     Half-lags 0..M0 land on bins 0..M0 and -M0..-1 on bins L/2-M0..L/2-1,
     so the endpoints +-L/4 share bin L/4 only when L = 0 (mod 4).  Only
@@ -261,15 +271,38 @@ def _doppler_lags(x: np.ndarray) -> np.ndarray:
     """A[xi, i] = sum_n x(n + m_i) conj(x(n - m_i)) exp(-2i pi xi n / L), signed m_i.
 
     Only the m >= 0 columns are transformed along time; the m < 0 columns
-    are A(xi, -m) = conj A(-xi, m).
+    are A(xi, -m) = conj A(-xi, m).  The m = 0 column is the transform of
+    the real |x(n)|^2, so its xi > L/2 half is the conjugate of its
+    xi < L/2 half and its xi = 0 and L/2 entries are real: set so exactly,
+    which the FFT alone misses by rounding.  Then A(-xi, -m) = conj A(xi, m)
+    holds with no tolerance.
     """
     L, M0 = x.size, x.size // 4
     A = np.empty((L, 2 * M0 + 1), dtype=np.complex128)
     pos = _half_lag_products(x, out=A[:, M0:])
     np.fft.fft(pos, axis=0, out=pos)
+    zero = pos[:, 0]
+    zero.imag[:: L // 2] = 0.0
+    np.conjugate(zero[L // 2 - 1 : 0 : -1], out=zero[L // 2 + 1 :])
     np.conjugate(pos[0, :0:-1], out=A[0, :M0])
     np.conjugate(pos[:0:-1, :0:-1], out=A[1:, :M0])
     return A
+
+
+def _is_hermitian(values: np.ndarray) -> bool:
+    """phi(-xi, -m) == conj phi(xi, m) exactly, over doppler bins xi and signed half-lags m.
+
+    No tolerance, like the smoothing hook's test: a phi that misses by an
+    ulp takes the complex route.  Compared 64 doppler rows at a time, so a
+    phi such as Rihaczek's fails on its first block.
+    """
+    L, M0 = values.shape[0], values.shape[1] // 2
+    pos, neg = values[:, M0:], values[:, M0::-1]  # phi(xi, m) and phi(xi, -m), m >= 0
+    for a in range(0, L, 64):
+        xi = np.arange(a, min(a + 64, L))
+        if not np.array_equal(neg[-xi % L], np.conj(pos[xi])):
+            return False
+    return True
 
 
 def _warn_if_not_analytic(x: np.ndarray, where: str):
@@ -284,8 +317,9 @@ def wvd(x, boundary: str = "circular") -> TFDGrid:
     """Discrete Wigner distribution on symmetric half-lags.
 
     W(n, k) = sum_{|m| <= L/4} x(n+m) conj(x(n-m)) exp(-2i pi (2m) k / L),
-    k in [0, L/2).  Real for any input to rounding; the frequency marginal
-    sum_k W(n, k) / (L/2) equals |x(n)|^2 exactly in either boundary mode.
+    k in [0, L/2).  Real for any input, so the grid is float64; the
+    frequency marginal sum_k W(n, k) / (L/2) equals |x(n)|^2 exactly in
+    either boundary mode.
 
     The circular mode folds lag reads around the grid, which aliases the
     row n + L/2 into rows within L/4 of the record ends; the finite mode
@@ -295,7 +329,7 @@ def wvd(x, boundary: str = "circular") -> TFDGrid:
     x = _even_grid(x, "wvd")
     _warn_if_not_analytic(x, "wvd")
     L = x.size
-    W = _grid(L)
+    W = _grid(L, np.float64)
     return TFDGrid(_hermitian_lag_transform(_half_lag_products(x, boundary), W), 1.0 / L)
 
 
@@ -395,12 +429,25 @@ def cohen(x, phi: ParameterFunction) -> TFDGrid:
     Multiplying the signal's ambiguity function by phi is the exact
     Fourier dual of the 2-D smoothing of the Wigner distribution by the
     inverse transform of phi; phi == 1 returns the Wigner distribution.
+
+    When phi(-xi, -m) = conj phi(xi, m) holds exactly, the smoothed lag
+    products keep R(n, -m) = conj R(n, m): only the m >= 0 half-lags are
+    built, weighted and transformed, and the grid is real (float64).  Any
+    other phi, such as Rihaczek's, transforms the signed lag axis into a
+    complex grid.
     """
     x = _even_grid(x, "cohen")
     L = x.size
     if phi.length != L or not np.array_equal(phi.lags, _half_lags(L)):
         raise ContractViolation("parameter function grid does not match the signal grid")
-    W = _grid(L)
+    if _is_hermitian(phi.values):
+        W = _grid(L, np.float64)
+        A = _half_lag_products(x)
+        np.fft.fft(A, axis=0, out=A)
+        A *= phi.values[:, L // 4 :]
+        np.fft.ifft(A, axis=0, out=A)
+        return TFDGrid(_hermitian_lag_transform(A, W), 1.0 / L)
+    W = _grid(L, np.complex128)
     A = _doppler_lags(x)
     A *= phi.values
     np.fft.ifft(A, axis=0, out=A)
@@ -677,8 +724,8 @@ def pwvd(x, ls: LambdaSet, smoothing=None, max_half_lag: int | None = None) -> T
     ``smoothing``, if given, maps the (time, signed lag) product array of
     shape (L, 2 floor(L/4) + 1) to a filtered one before the transform:
     the pass-through hook for higher-order smoothing kernels.  Output
-    still Hermitian in the lag takes the real transform, any other the
-    complex one.
+    still Hermitian in the lag takes the real transform into a float64
+    grid, any other the complex one.
     """
     x = _even_grid(x, "pwvd")
     L = x.size
@@ -686,17 +733,16 @@ def pwvd(x, ls: LambdaSet, smoothing=None, max_half_lag: int | None = None) -> T
     radius = L // 4 if max_half_lag is None else int(max_half_lag)
     if not 0 < radius <= L // 4:
         raise ContractViolation(f"max_half_lag must be in [1, L/4], got {radius}")
-    W = _grid(L)
-    R = _pwvd_lag_products(x, ls, radius)
     if smoothing is None:
-        return TFDGrid(_hermitian_lag_transform(R, W), 1.0 / L)
-    R = np.asarray(smoothing(_signed_lags(R)), dtype=np.complex128)
+        W = _grid(L, np.float64)
+        return TFDGrid(_hermitian_lag_transform(_pwvd_lag_products(x, ls, radius), W), 1.0 / L)
+    R = np.asarray(smoothing(_signed_lags(_pwvd_lag_products(x, ls, radius))), dtype=np.complex128)
     if R.shape != (L, _half_lags(L).size):
         raise ContractViolation("smoothing hook must preserve the (time, lag) shape")
     M0 = L // 4
     if np.array_equal(R[:, :M0], np.conj(R[:, :M0:-1])):
-        return TFDGrid(_hermitian_lag_transform(R[:, M0:].copy(), W), 1.0 / L)
-    return TFDGrid(_lag_transform(R, W), 1.0 / L)
+        return TFDGrid(_hermitian_lag_transform(R[:, M0:].copy(), _grid(L, np.float64)), 1.0 / L)
+    return TFDGrid(_lag_transform(R, _grid(L, np.complex128)), 1.0 / L)
 
 
 @dataclass(frozen=True)
@@ -768,18 +814,14 @@ def if_concentration(grid: TFDGrid, phase: PolynomialPhase) -> float:
     The first and last 10 percent of rows are excluded (boundary wrap of
     non-periodic phase laws contaminates them).
     """
-    values = np.abs(grid.values)
-    T, F = values.shape
+    T = grid.values.shape[0]
     edge = int(round(0.1 * T))
-    rows = range(edge, T - edge)
-    if not rows:
+    if T - edge <= edge:
         raise ContractViolation("grid too short for the 10 percent edge exclusion")
-    errs = []
-    for t in rows:
-        peak = int(np.argmax(values[t]))
-        target = int(round(float(phase.instantaneous_frequency(t)) / grid.freq_scale))
-        errs.append(abs(peak - target))
-    return float(np.mean(errs))
+    peaks = np.argmax(np.abs(grid.values[edge : T - edge]), axis=1)
+    # np.rint rounds half to even, as round does
+    targets = np.rint(phase.instantaneous_frequency(np.arange(edge, T - edge)) / grid.freq_scale)
+    return float(np.mean(np.abs(peaks - targets)))
 
 
 def interference_term_count(k: int) -> int:

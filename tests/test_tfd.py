@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import max_abs, rel_err
 from volterra.errors import ContractViolation, DomainError, GridError, ResourceError
@@ -11,6 +13,9 @@ from volterra.tfd import (
     LambdaSet,
     ParameterFunction,
     PolynomialPhase,
+    TFDGrid,
+    _doppler_lags,
+    _lag_transform,
     ambiguity,
     analytic_signal,
     check_lambda_constraints,
@@ -506,16 +511,12 @@ def test_if_concentration_delta_ridge():
     grid = np.zeros((L, L // 2))
     target = round(0.1 * L)
     grid[:, target] = 1.0
-    from volterra.tfd import TFDGrid
-
     assert if_concentration(TFDGrid(grid, 1.0 / L), ph) == 0.0
 
 
 def test_if_concentration_random_grid_large_error(rng):
     # iid noise grid: argmax uniform, mean error about F/4 for a mid-band law
     ph = PolynomialPhase((0.0, 2 * np.pi * 0.25))  # law at bin F/2 of F = L/2
-    from volterra.tfd import TFDGrid
-
     grid = TFDGrid(rng.random((L, L // 2)), 1.0 / L)
     err = if_concentration(grid, ph)
     F = L // 2
@@ -528,6 +529,43 @@ def test_if_concentration_wvd_linear_chirp_within_one_bin():
     x = chirp(ph, L)
     W = quiet(wvd, x, boundary="finite")
     assert if_concentration(W, ph) <= 1.0
+
+
+def if_concentration_loop(grid, phase):
+    """One argmax and one rounded phase-law bin per kept row."""
+    values = np.abs(grid.values)
+    T = values.shape[0]
+    edge = int(round(0.1 * T))
+    errs = []
+    for t in range(edge, T - edge):
+        peak = int(np.argmax(values[t]))
+        target = int(round(float(phase.instantaneous_frequency(t)) / grid.freq_scale))
+        errs.append(abs(peak - target))
+    return float(np.mean(errs))
+
+
+@pytest.mark.parametrize("T", [128, 64, 30, 9])
+def test_if_concentration_equals_the_row_loop(T, rng):
+    # the law sits at bin 2 + t / 4, exactly on a half-bin at every t = 2 (mod 4),
+    # where both sides must round half to even
+    ph = PolynomialPhase((0.0, 2 * np.pi * 2 / 32, 2 * np.pi / 256))
+    assert np.any(ph.instantaneous_frequency(np.arange(T)) * 32 % 1 == 0.5)
+    for values in (
+        rng.random((T, 40)),
+        rng.standard_normal((T, 40)) + 1j * rng.standard_normal((T, 40)),
+        np.ones((T, 40)),  # ties: argmax takes the first bin either way
+    ):
+        grid = TFDGrid(values, 1.0 / 32)
+        assert if_concentration(grid, ph) == if_concentration_loop(grid, ph)
+    ridge = np.zeros((T, 40))
+    ridge[np.arange(T), np.rint(2 + np.arange(T) / 4).astype(int)] = 1.0
+    delta = TFDGrid(ridge, 1.0 / 32)
+    assert if_concentration(delta, ph) == if_concentration_loop(delta, ph)
+
+
+def test_if_concentration_needs_rows_past_the_edges():
+    with pytest.raises(ContractViolation, match="10 percent"):
+        if_concentration(TFDGrid(np.ones((0, 4)), 0.25), PolynomialPhase((0.0,)))
 
 
 def test_interference_term_count():
@@ -658,12 +696,16 @@ def test_pwvd_non_hermitian_hook_matches_definition(Ld, rng):
         lambda x: pwvd(x, pwvd_lambdas(4)),
         lambda x: pwvd(x, pwvd_lambdas(6, 0.62), max_half_lag=7),
         lambda x: pwvd(x, pwvd_lambdas(4), smoothing=lambda R: 0.5 * R),
+        lambda x: cohen(x, unit_parameter(x.size)),
+        lambda x: cohen(x, spectrogram_parameter(gaussian_window(x.size, 6.0))),
     ],
-    ids=["wvd", "wvd-finite", "pwvd4", "pwvd6-short", "pwvd4-hook"],
+    ids=[
+        "wvd", "wvd-finite", "pwvd4", "pwvd6-short", "pwvd4-hook", "cohen-unit", "cohen-spectrogram"
+    ],
 )
 def test_wigner_grids_are_exactly_real(Ld, grid, rng):
     x = rng.standard_normal(Ld) + 1j * rng.standard_normal(Ld)
-    assert np.all(quiet(grid, x).values.imag == 0)
+    assert quiet(grid, x).values.dtype == np.float64
 
 
 @pytest.mark.parametrize("Ld", [32, 30])
@@ -687,6 +729,98 @@ def test_howvd_order3_row_matches_definition(Ld, rng):
     assert rel_err(quiet(howvd, x, 3).values[n], want) <= 1e-9
 
 
+# ------------------------------------------- real Cohen grids on half-lags
+
+
+def reflected(values):
+    """phi(-xi, -m) on the (doppler bin, signed half-lag) grid of phi."""
+    return values[-np.arange(values.shape[0]) % values.shape[0], ::-1]
+
+
+def signed_lag_cohen(x, phi):
+    """Cohen's class through the signed lag axis and the complex lag transform."""
+    n = x.size
+    smoothed = np.fft.ifft(_doppler_lags(x) * phi.values, axis=0)
+    return _lag_transform(smoothed, np.zeros((n, n // 2), dtype=np.complex128))
+
+
+def hermitian_part(psi):
+    """(psi + conj psi(-xi, -m)) / 2: exactly Hermitian, as IEEE addition commutes."""
+    return (psi + np.conj(reflected(psi))) / 2
+
+
+@pytest.mark.parametrize("Ld", [62, 64, 1024])
+def test_ambiguity_is_exactly_hermitian(Ld, rng):
+    for h in (rng.standard_normal(Ld) + 1j * rng.standard_normal(Ld), gaussian_window(Ld, Ld / 16)):
+        for phi in (ambiguity(h), spectrogram_parameter(h)):
+            assert np.array_equal(reflected(phi.values), np.conj(phi.values))
+
+
+@pytest.mark.parametrize("Ld", DEF_LENGTHS)
+@pytest.mark.parametrize("member", ["unit", "rihaczek", "spectrogram", "random"])
+def test_cohen_matches_the_signed_lag_transform(Ld, member, rng):
+    x = rng.standard_normal(Ld) + 1j * rng.standard_normal(Ld)
+    ms = np.arange(-(Ld // 4), Ld // 4 + 1)
+    h = rng.standard_normal(Ld) + 1j * rng.standard_normal(Ld)
+    phi = {
+        "unit": lambda: unit_parameter(Ld),
+        "rihaczek": lambda: rihaczek_parameter(Ld),
+        "spectrogram": lambda: spectrogram_parameter(h),
+        "random": lambda: ParameterFunction(
+            rng.standard_normal((Ld, ms.size)) + 1j * rng.standard_normal((Ld, ms.size)), ms
+        ),
+    }[member]()
+    got = quiet(cohen, x, phi).values
+    assert got.dtype == (np.float64 if member in ("unit", "spectrogram") else np.complex128)
+    assert rel_err(got, signed_lag_cohen(x, phi)) <= 1e-12
+
+
+@settings(settings.get_profile("volterra"), max_examples=50)
+@given(half=st.integers(min_value=1, max_value=40), seed=st.integers(0, 2**32 - 1))
+def test_cohen_hermitian_parameter_is_real_and_matches(half, seed):
+    Ld = 2 * half
+    rng = np.random.default_rng(seed)
+    ms = np.arange(-(Ld // 4), Ld // 4 + 1)
+    psi = rng.standard_normal((Ld, ms.size)) + 1j * rng.standard_normal((Ld, ms.size))
+    phi = ParameterFunction(hermitian_part(psi), ms)
+    x = rng.standard_normal(Ld) + 1j * rng.standard_normal(Ld)
+    got = quiet(cohen, x, phi).values
+    assert got.dtype == np.float64
+    assert rel_err(got, signed_lag_cohen(x, phi)) <= 1e-12
+
+
+@pytest.mark.parametrize("Ld", DEF_LENGTHS)
+def test_cohen_one_ulp_off_hermitian_takes_the_complex_path(Ld, rng):
+    ms = np.arange(-(Ld // 4), Ld // 4 + 1)
+    psi = rng.standard_normal((Ld, ms.size)) + 1j * rng.standard_normal((Ld, ms.size))
+    values = hermitian_part(psi)
+    values[3, -2] = np.nextafter(values[3, -2].real, np.inf) + 1j * values[3, -2].imag
+    phi = ParameterFunction(values, ms)
+    x = rng.standard_normal(Ld) + 1j * rng.standard_normal(Ld)
+    got = quiet(cohen, x, phi).values
+    assert got.dtype == np.complex128
+    assert rel_err(got, signed_lag_cohen(x, phi)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        lambda x: cohen(x, rihaczek_parameter(x.size)),
+        lambda x: pwvd(x, pwvd_lambdas(4), smoothing=lambda R: R * np.arange(R.shape[1])),
+        lambda x: howvd(x, 3),
+    ],
+    ids=["cohen-rihaczek", "pwvd4-non-hermitian-hook", "howvd"],
+)
+def test_complex_grids_stay_complex(grid):
+    assert quiet(grid, two_tone(64, 9, 13)).values.dtype == np.complex128
+
+
+def test_tfd_grid_keeps_real_arrays_real():
+    assert TFDGrid(np.ones((4, 2), dtype=np.float32), 0.25).values.dtype == np.float64
+    assert TFDGrid(np.ones((4, 2), dtype=int), 0.25).values.dtype == np.float64
+    assert TFDGrid(np.ones((4, 2), dtype=np.complex64), 0.25).values.dtype == np.complex128
+
+
 def traced_peak_mib(fn, *args):
     tracemalloc.start()
     try:
@@ -702,16 +836,26 @@ def test_grid_peak_memory_at_1024():
     h = gaussian_window(Lm, 24.0)
     # one (L, L) output plus at most 5 %
     assert traced_peak_mib(stft, x, h) <= 16.3 * 1.05
-    # the (L, L/2 + 1) lag products, the folded grid and block temporaries
-    assert traced_peak_mib(quiet, pwvd, x, pwvd_lambdas(6, 0.62)) <= 24.1 * 1.05
+    # the float64 (L, L/2) grid, the (half-lag, time) products padded to whole
+    # delay periods and the two shift banks of one delay block, plus at most 5 %
+    assert traced_peak_mib(quiet, pwvd, x, pwvd_lambdas(6, 0.62)) <= 11.24 * 1.05
 
 
 def test_wigner_grid_peak_memory_at_1024():
     Lm = 1024
     x = analytic_signal(np.cos(2 * np.pi * 0.09 * np.arange(Lm)))
-    # the (L, L/4 + 1) half-lag products and the (L, L/2) grid, plus at most 5 %
-    assert traced_peak_mib(quiet, wvd, x) <= 12.2 * 1.05
-    assert traced_peak_mib(quiet, pwvd, x, pwvd_lambdas(4)) <= 12.7 * 1.05
+    # the (L, L/4 + 1) half-lag products and the float64 (L, L/2) grid, plus at most 5 %
+    assert traced_peak_mib(quiet, wvd, x) <= 8.17 * 1.05
+    assert traced_peak_mib(quiet, pwvd, x, pwvd_lambdas(4)) <= 8.62 * 1.05
+
+
+def test_cohen_peak_memory_at_1024():
+    Lm = 1024
+    x = analytic_signal(np.cos(2 * np.pi * 0.09 * np.arange(Lm)))
+    h = gaussian_window(Lm, 24.0)
+    # the (L, L/4 + 1) half-lag products and the float64 (L, L/2) grid, plus at most 5 %
+    for phi in (unit_parameter(Lm), spectrogram_parameter(h)):
+        assert traced_peak_mib(cohen, x, phi) <= 8.17 * 1.05
 
 
 def test_cohen_kernel_needs_the_signed_half_lag_axis():
