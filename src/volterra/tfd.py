@@ -15,18 +15,20 @@ Discrete conventions, fixed once for the whole module:
   Multiplying there is the exact Fourier dual of 2-D smoothing of the
   distribution, and it keeps the spectrogram and Rihaczek identities
   exact for band-limited analytic inputs.
-* Bilinear and polynomial lag products are Hermitian in the lag,
-  R(n, -m) = conj R(n, m), so only half-lags m >= 0 are built.  Wigner
-  and polynomial-Wigner rows are real: one Hermitian transform (``hfft``)
-  over bins 0..L/4 each.  Doppler transforms run over the m >= 0 columns
-  and take the rest from A(xi, -m) = conj A(-xi, m).
-* A Cohen distribution is real exactly when its parameter function obeys
-  phi(-xi, -m) = conj phi(xi, m) (the unit and spectrogram members, not
-  Rihaczek): its smoothed lag products stay Hermitian in the lag, so such
-  a phi takes the same half-lag route and Hermitian transform.
-* Real distributions are float64 grids; only a Cohen grid of a phi
-  without that symmetry, a smoothing hook that breaks it, and ``howvd``
-  stay complex.
+* Only half-lags m >= 0 are built.  Any lag products r split as
+  r = e + i o with e = (r + r~) / 2, o = (r - r~) / 2i and
+  r~(n, m) = conj r(n, -m); both parts are Hermitian in the lag, so each
+  row of each part is one real Hermitian transform (``hfft``) over bins
+  0..L/4, and the grid is the transform of e plus i times that of o.
+  Bilinear and polynomial lag products are Hermitian themselves (o = 0),
+  so Wigner and polynomial-Wigner rows are real.  Doppler transforms run
+  over the m >= 0 columns and take the rest from A(xi, -m) = conj A(-xi, m).
+* Cohen's smoothed lag products split with the parameter function: o = 0
+  exactly when phi(-xi, -m) = conj phi(xi, m) (the unit and spectrogram
+  members, not Rihaczek), and otherwise o smooths with the odd part
+  (phi - conj phi(-xi, -m)) / 2i of phi.
+* A distribution whose o is exactly 0 is a float64 grid; the others, and
+  ``howvd``, are complex128.
 * Fractional delays use spectral phase ramps with signed frequencies.
   The polynomial and higher-order distributions take the signal's FFT
   once and read their delayed copies from batched FFTs: ``pwvd`` in
@@ -107,19 +109,14 @@ class PolynomialPhase:
             raise ContractViolation("phase polynomial needs at least one coefficient")
         object.__setattr__(self, "coefficients", coeffs)
 
+    # np.polynomial loads on first use, so importing volterra does not load it
     def phase(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for a in reversed(self.coefficients):
-            out = out * t + a
-        return out
+        return np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), self.coefficients)
 
     def derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for p in range(len(self.coefficients) - 1, 0, -1):
-            out = out * t + p * self.coefficients[p]
-        return out
+        # + 0.0: a constant phase's derivative is 0.0, as in Horner's rule, not -0.0
+        slopes = np.polynomial.polynomial.polyder(self.coefficients) + 0.0
+        return np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), slopes)
 
     def instantaneous_frequency(self, t):
         """phi'(t) / 2 pi, in cycles per sample."""
@@ -132,10 +129,11 @@ class TFDGrid:
 
     ``values[t, k]`` covers time sample t and frequency ``k * freq_scale``
     cycles per sample.  A real array is kept as float64 and a complex one
-    as complex128: ``wvd``, ``pwvd`` and ``cohen`` with a phi obeying
-    phi(-xi, -m) = conj phi(xi, m) return float64 grids; ``cohen`` with
-    any other phi and ``pwvd`` whose smoothing hook breaks the lag
-    symmetry return complex128 ones.
+    as complex128.  A grid is float64 when its lag products have no odd
+    part (module docstring): ``wvd``, ``pwvd`` without a hook or with one
+    that keeps the lag symmetry, and ``cohen`` with a phi obeying
+    phi(-xi, -m) = conj phi(xi, m).  Otherwise its real and imaginary
+    parts are the transforms of the even and odd parts.
     """
 
     values: np.ndarray
@@ -237,12 +235,13 @@ def _grid(L: int, dtype) -> np.ndarray:
 
 
 def _hermitian_lag_transform(R: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Rows of the TFD from the m >= 0 half of lag products with R(-m) = conj R(m).
+    """Rows of a TFD from the m >= 0 half of lag products with R(-m) = conj R(m).
 
     The folded lag sequence is Hermitian, so each row's DFT is real and is
     one real inverse FFT of length L/2 over bins 0..L/4 (``hfft``), written
-    into the float64 ``_grid`` W.  The endpoints +-L/4 share bin L/4 when
-    L = 0 (mod 4), so that column is doubled.  Conjugates R in place.
+    into the float64 array W: a ``_grid`` or the real or imaginary view of
+    a complex one.  The endpoints +-L/4 share bin L/4 when L = 0 (mod 4),
+    so that column is doubled.  Conjugates R in place.
     """
     half = W.shape[1]
     np.conjugate(R, out=R)
@@ -251,58 +250,20 @@ def _hermitian_lag_transform(R: np.ndarray, W: np.ndarray) -> np.ndarray:
     return np.fft.irfft(R, half, axis=1, norm="forward", out=W)
 
 
-def _lag_transform(R: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Fold the signed half-lag axis mod L/2 into the complex ``_grid`` W and DFT it.
+def _lag_grid(W: np.ndarray, r: np.ndarray, odd: np.ndarray | None = None) -> TFDGrid:
+    """The TFD of lag products r on half-lags m >= 0, given their odd part.
 
-    Half-lags 0..M0 land on bins 0..M0 and -M0..-1 on bins L/2-M0..L/2-1,
-    so the endpoints +-L/4 share bin L/4 only when L = 0 (mod 4).  Only
-    lag products that are not Hermitian take this complex transform:
-    Cohen's, for a general parameter function, and a smoothing hook's.
+    r = e + i o with e and o Hermitian in the lag (module docstring), so
+    e = r - i o, and each part is one Hermitian transform, into the real
+    and imaginary halves of the complex ``_grid`` W.  With no odd part, r
+    is Hermitian itself and W is float64.  Overwrites r and ``odd``.
     """
-    half, M0 = W.shape[1], W.shape[1] // 2
-    W[:, : M0 + 1] = R[:, M0:]
-    W[:, M0 + 1 :] = R[:, 2 * M0 + 1 - half : M0]
-    if half % 2 == 0:
-        W[:, M0] += R[:, 0]
-    return np.fft.fft(W, axis=1, out=W)
-
-
-def _doppler_lags(x: np.ndarray) -> np.ndarray:
-    """A[xi, i] = sum_n x(n + m_i) conj(x(n - m_i)) exp(-2i pi xi n / L), signed m_i.
-
-    Only the m >= 0 columns are transformed along time; the m < 0 columns
-    are A(xi, -m) = conj A(-xi, m).  The m = 0 column is the transform of
-    the real |x(n)|^2, so its xi > L/2 half is the conjugate of its
-    xi < L/2 half and its xi = 0 and L/2 entries are real: set so exactly,
-    which the FFT alone misses by rounding.  Then A(-xi, -m) = conj A(xi, m)
-    holds with no tolerance.
-    """
-    L, M0 = x.size, x.size // 4
-    A = np.empty((L, 2 * M0 + 1), dtype=np.complex128)
-    pos = _half_lag_products(x, out=A[:, M0:])
-    np.fft.fft(pos, axis=0, out=pos)
-    zero = pos[:, 0]
-    zero.imag[:: L // 2] = 0.0
-    np.conjugate(zero[L // 2 - 1 : 0 : -1], out=zero[L // 2 + 1 :])
-    np.conjugate(pos[0, :0:-1], out=A[0, :M0])
-    np.conjugate(pos[:0:-1, :0:-1], out=A[1:, :M0])
-    return A
-
-
-def _is_hermitian(values: np.ndarray) -> bool:
-    """phi(-xi, -m) == conj phi(xi, m) exactly, over doppler bins xi and signed half-lags m.
-
-    No tolerance, like the smoothing hook's test: a phi that misses by an
-    ulp takes the complex route.  Compared 64 doppler rows at a time, so a
-    phi such as Rihaczek's fails on its first block.
-    """
-    L, M0 = values.shape[0], values.shape[1] // 2
-    pos, neg = values[:, M0:], values[:, M0::-1]  # phi(xi, m) and phi(xi, -m), m >= 0
-    for a in range(0, L, 64):
-        xi = np.arange(a, min(a + 64, L))
-        if not np.array_equal(neg[-xi % L], np.conj(pos[xi])):
-            return False
-    return True
+    if odd is not None:
+        r.real += odd.imag  # r - i o, in place
+        r.imag -= odd.real
+        _hermitian_lag_transform(odd, W.imag)
+    _hermitian_lag_transform(r, W.real)
+    return TFDGrid(W, 1.0 / W.shape[0])
 
 
 def _warn_if_not_analytic(x: np.ndarray, where: str):
@@ -328,9 +289,8 @@ def wvd(x, boundary: str = "circular") -> TFDGrid:
     """
     x = _even_grid(x, "wvd")
     _warn_if_not_analytic(x, "wvd")
-    L = x.size
-    W = _grid(L, np.float64)
-    return TFDGrid(_hermitian_lag_transform(_half_lag_products(x, boundary), W), 1.0 / L)
+    W = _grid(x.size, np.float64)
+    return _lag_grid(W, _half_lag_products(x, boundary))
 
 
 @dataclass(frozen=True)
@@ -389,8 +349,9 @@ def rihaczek_parameter(L: int) -> ParameterFunction:
     inputs.
     """
     ms = _half_lags(L)
-    xi = np.arange(L)[:, None]
-    values = 2.0 * _endpoint_weights(L)[None, :] * np.exp(-2j * np.pi * xi * ms[None, :] / L)
+    # exp(-2i pi xi m / L) takes L values, indexed by xi m reduced mod L in integers
+    turns = np.exp(-2j * np.pi * np.arange(L) / L)
+    values = 2.0 * _endpoint_weights(L) * turns[np.arange(L)[:, None] * ms % L]
     return ParameterFunction(values, ms)
 
 
@@ -398,10 +359,24 @@ def ambiguity(h) -> ParameterFunction:
     """Doppler-lag transform of a window on the signed half-lag axis.
 
     A(xi, m) = sum_n h(n+m) conj(h(n-m)) exp(-2i pi xi n / L); the origin
-    value is the window energy.
+    value is the window energy.  Only the m >= 0 columns are transformed
+    along time; the m < 0 columns are A(xi, -m) = conj A(-xi, m).  The
+    m = 0 column is the transform of the real |h(n)|^2, so its xi > L/2
+    half is the conjugate of its xi < L/2 half and its xi = 0 and L/2
+    entries are real: set so exactly, which the FFT alone misses by
+    rounding.  Then A(-xi, -m) = conj A(xi, m) holds with no tolerance.
     """
     h = _even_grid(h, "ambiguity")
-    return ParameterFunction(_doppler_lags(h), _half_lags(h.size))
+    L, M0 = h.size, h.size // 4
+    A = np.empty((L, 2 * M0 + 1), dtype=np.complex128)
+    pos = _half_lag_products(h, out=A[:, M0:])
+    np.fft.fft(pos, axis=0, out=pos)
+    zero = pos[:, 0]
+    zero.imag[:: L // 2] = 0.0
+    np.conjugate(zero[L // 2 - 1 : 0 : -1], out=zero[L // 2 + 1 :])
+    np.conjugate(pos[0, :0:-1], out=A[0, :M0])
+    np.conjugate(pos[:0:-1, :0:-1], out=A[1:, :M0])
+    return ParameterFunction(A, _half_lags(L))
 
 
 def spectrogram_parameter(window) -> ParameterFunction:
@@ -430,28 +405,35 @@ def cohen(x, phi: ParameterFunction) -> TFDGrid:
     Fourier dual of the 2-D smoothing of the Wigner distribution by the
     inverse transform of phi; phi == 1 returns the Wigner distribution.
 
-    When phi(-xi, -m) = conj phi(xi, m) holds exactly, the smoothed lag
-    products keep R(n, -m) = conj R(n, m): only the m >= 0 half-lags are
-    built, weighted and transformed, and the grid is real (float64).  Any
-    other phi, such as Rihaczek's, transforms the signed lag axis into a
-    complex grid.
+    Only the m >= 0 half-lags are built, weighted and transformed.  With
+    A the doppler transform of the lag products, phi+ the m >= 0 columns
+    of phi and phi_o = (phi - conj phi(-xi, -m)) / 2i its odd part there,
+    the smoothed products split into the odd part ifft(A phi_o) and the
+    even part ifft(A phi+) - i ifft(A phi_o), each Hermitian in the lag.
+    phi_o is 0 exactly (no tolerance) when phi(-xi, -m) = conj phi(xi, m),
+    as for the unit and spectrogram members: then the grid is real
+    (float64).  Any other phi, such as Rihaczek's, gives a complex grid.
     """
     x = _even_grid(x, "cohen")
-    L = x.size
+    L, M0 = x.size, x.size // 4
     if phi.length != L or not np.array_equal(phi.lags, _half_lags(L)):
         raise ContractViolation("parameter function grid does not match the signal grid")
-    if _is_hermitian(phi.values):
-        W = _grid(L, np.float64)
-        A = _half_lag_products(x)
-        np.fft.fft(A, axis=0, out=A)
-        A *= phi.values[:, L // 4 :]
-        np.fft.ifft(A, axis=0, out=A)
-        return TFDGrid(_hermitian_lag_transform(A, W), 1.0 / L)
-    W = _grid(L, np.complex128)
-    A = _doppler_lags(x)
-    A *= phi.values
+    odd = phi.values[-np.arange(L) % L, M0::-1]  # phi(-xi, -m), m >= 0
+    np.conjugate(odd, out=odd)
+    np.subtract(phi.values[:, M0:], odd, out=odd)  # 2i phi_o
+    if odd.any():
+        odd *= -0.5j
+    else:
+        odd = None
+    W = _grid(L, np.float64 if odd is None else np.complex128)
+    A = _half_lag_products(x)
+    np.fft.fft(A, axis=0, out=A)
+    if odd is not None:
+        odd *= A
+        np.fft.ifft(odd, axis=0, out=odd)
+    A *= phi.values[:, M0:]
     np.fft.ifft(A, axis=0, out=A)
-    return TFDGrid(_lag_transform(A, W), 1.0 / L)
+    return _lag_grid(W, A, odd)
 
 
 def cohen_volterra_kernel(phi: ParameterFunction, f_bin: int) -> VolterraKernel:
@@ -723,26 +705,32 @@ def pwvd(x, ls: LambdaSet, smoothing=None, max_half_lag: int | None = None) -> T
     circle at the cost of frequency resolution.
     ``smoothing``, if given, maps the (time, signed lag) product array of
     shape (L, 2 floor(L/4) + 1) to a filtered one before the transform:
-    the pass-through hook for higher-order smoothing kernels.  Output
-    still Hermitian in the lag takes the real transform into a float64
-    grid, any other the complex one.
+    the pass-through hook for higher-order smoothing kernels.  Its output
+    takes the split into even and odd parts of the module docstring.
+    When R(n, -m) = conj R(n, m) holds exactly for m >= 1 the odd part is
+    dropped and the grid is float64; the m = 0 column gives only its real
+    part to the even transform either way.
     """
     x = _even_grid(x, "pwvd")
-    L = x.size
+    L, M0 = x.size, x.size // 4
     _warn_if_not_analytic(x, "pwvd")
-    radius = L // 4 if max_half_lag is None else int(max_half_lag)
-    if not 0 < radius <= L // 4:
+    radius = M0 if max_half_lag is None else int(max_half_lag)
+    if not 0 < radius <= M0:
         raise ContractViolation(f"max_half_lag must be in [1, L/4], got {radius}")
     if smoothing is None:
         W = _grid(L, np.float64)
-        return TFDGrid(_hermitian_lag_transform(_pwvd_lag_products(x, ls, radius), W), 1.0 / L)
+        return _lag_grid(W, _pwvd_lag_products(x, ls, radius))
     R = np.asarray(smoothing(_signed_lags(_pwvd_lag_products(x, ls, radius))), dtype=np.complex128)
     if R.shape != (L, _half_lags(L).size):
         raise ContractViolation("smoothing hook must preserve the (time, lag) shape")
-    M0 = L // 4
-    if np.array_equal(R[:, :M0], np.conj(R[:, :M0:-1])):
-        return TFDGrid(_hermitian_lag_transform(R[:, M0:].copy(), _grid(L, np.float64)), 1.0 / L)
-    return TFDGrid(_lag_transform(R, _grid(L, np.complex128)), 1.0 / L)
+    odd = np.conjugate(R[:, M0::-1])
+    np.subtract(R[:, M0:], odd, out=odd)  # 2i times the odd part
+    if odd[:, 1:].any():
+        odd *= -0.5j
+    else:
+        odd = None
+    W = _grid(L, np.float64 if odd is None else np.complex128)
+    return _lag_grid(W, R[:, M0:].copy(), odd)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -14,8 +17,6 @@ from volterra.tfd import (
     ParameterFunction,
     PolynomialPhase,
     TFDGrid,
-    _doppler_lags,
-    _lag_transform,
     ambiguity,
     analytic_signal,
     check_lambda_constraints,
@@ -100,6 +101,40 @@ def test_chirp_quadratic_instantaneous_frequency():
     ph = PolynomialPhase((0.0, beta, alpha))
     t = 17.0
     assert abs(ph.instantaneous_frequency(t) - (2 * alpha * t + beta) / (2 * np.pi)) < 1e-14
+
+
+def horner(coefficients, t):
+    out = np.zeros_like(t)
+    for a in reversed(coefficients):
+        out = out * t + a
+    return out
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+@settings(settings.get_profile("volterra"), max_examples=50)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_polynomial_phase_is_bit_identical_to_horner(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        coefficients = tuple(rng.standard_normal(rng.integers(1, 7)) * 10.0 ** rng.integers(-6, 3))
+        t = rng.standard_normal(rng.integers(0, 20)) * 10.0 ** rng.integers(0, 4)
+        ph = PolynomialPhase(coefficients)
+        slopes = tuple(p * a for p, a in enumerate(coefficients))[1:]
+        assert np.array_equal(bits(ph.phase(t)), bits(horner(coefficients, t)))
+        assert np.array_equal(bits(ph.derivative(t)), bits(horner(slopes, t)))
+    # a constant phase has derivative +0.0 everywhere, also at negative t
+    assert np.array_equal(bits(PolynomialPhase((-2.0,)).derivative(-T_AXIS)), bits(np.zeros(L)))
+
+
+def test_importing_volterra_leaves_numpy_polynomial_unloaded():
+    # PolynomialPhase reaches np.polynomial on first use: every process pays none of its import
+    code = "import sys, volterra; print('numpy.polynomial' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------- wvd
@@ -738,15 +773,31 @@ def reflected(values):
 
 
 def signed_lag_cohen(x, phi):
-    """Cohen's class through the signed lag axis and the complex lag transform."""
+    """Cohen's class through the signed lag axis and one complex FFT per row.
+
+    The smoothed products over half-lags -M0..M0 fold mod L/2: 0..M0 onto
+    bins 0..M0 and -M0..-1 onto bins L/2-M0..L/2-1, so the endpoints +-L/4
+    share bin L/4 only when L = 0 (mod 4).
+    """
     n = x.size
-    smoothed = np.fft.ifft(_doppler_lags(x) * phi.values, axis=0)
-    return _lag_transform(smoothed, np.zeros((n, n // 2), dtype=np.complex128))
+    half, M0 = n // 2, n // 4
+    smoothed = np.fft.ifft(ambiguity(x).values * phi.values, axis=0)
+    folded = np.zeros((n, half), dtype=complex)
+    folded[:, : M0 + 1] = smoothed[:, M0:]
+    folded[:, M0 + 1 :] = smoothed[:, 2 * M0 + 1 - half : M0]
+    if half % 2 == 0:
+        folded[:, M0] += smoothed[:, 0]
+    return np.fft.fft(folded, axis=1)
 
 
 def hermitian_part(psi):
     """(psi + conj psi(-xi, -m)) / 2: exactly Hermitian, as IEEE addition commutes."""
     return (psi + np.conj(reflected(psi))) / 2
+
+
+def odd_part(psi):
+    """(psi - conj psi(-xi, -m)) / 2i: exactly Hermitian, as a - b = -(b - a)."""
+    return (psi - np.conj(reflected(psi))) * -0.5j
 
 
 @pytest.mark.parametrize("Ld", [62, 64, 1024])
@@ -787,6 +838,34 @@ def test_cohen_hermitian_parameter_is_real_and_matches(half, seed):
     got = quiet(cohen, x, phi).values
     assert got.dtype == np.float64
     assert rel_err(got, signed_lag_cohen(x, phi)) <= 1e-12
+
+
+@settings(settings.get_profile("volterra"), max_examples=50)
+@given(half=st.integers(min_value=1, max_value=40), seed=st.integers(0, 2**32 - 1))
+def test_cohen_is_its_even_part_plus_i_its_odd_part(half, seed):
+    Ld = 2 * half
+    rng = np.random.default_rng(seed)
+    ms = np.arange(-(Ld // 4), Ld // 4 + 1)
+    psi = rng.standard_normal((Ld, ms.size)) + 1j * rng.standard_normal((Ld, ms.size))
+    x = rng.standard_normal(Ld) + 1j * rng.standard_normal(Ld)
+    got = quiet(cohen, x, ParameterFunction(psi, ms)).values
+    assert got.dtype == np.complex128
+    assert rel_err(got, signed_lag_cohen(x, ParameterFunction(psi, ms))) <= 1e-12
+    even = quiet(cohen, x, ParameterFunction(hermitian_part(psi), ms)).values
+    odd = quiet(cohen, x, ParameterFunction(odd_part(psi), ms)).values
+    assert even.dtype == odd.dtype == np.float64
+    assert rel_err(got.real, even) <= 1e-12
+    assert rel_err(got.imag, odd) <= 1e-12
+
+
+@pytest.mark.parametrize("Ld", [62, 64, 1024])
+def test_rihaczek_parameter_matches_its_closed_form(Ld):
+    ms = np.arange(-(Ld // 4), Ld // 4 + 1)
+    w = np.where((np.abs(ms) == Ld // 4) & (Ld % 4 == 0), 0.5, 1.0)
+    want = 2.0 * w * np.exp(-2j * np.pi * np.arange(Ld)[:, None] * ms / Ld)
+    phi = rihaczek_parameter(Ld)
+    assert np.array_equal(phi.lags, ms)
+    assert rel_err(phi.values, want) <= 1e-12
 
 
 @pytest.mark.parametrize("Ld", DEF_LENGTHS)
@@ -856,6 +935,11 @@ def test_cohen_peak_memory_at_1024():
     # the (L, L/4 + 1) half-lag products and the float64 (L, L/2) grid, plus at most 5 %
     for phi in (unit_parameter(Lm), spectrogram_parameter(h)):
         assert traced_peak_mib(cohen, x, phi) <= 8.17 * 1.05
+    # the half-lag products, their odd part and the complex128 grid, plus at most 5 %
+    ms = np.arange(-(Lm // 4), Lm // 4 + 1)
+    psi = np.random.default_rng(7).standard_normal((Lm, 2 * ms.size)).view(np.complex128)
+    for phi in (rihaczek_parameter(Lm), ParameterFunction(psi, ms)):
+        assert traced_peak_mib(cohen, x, phi) <= 16.18 * 1.05
 
 
 def test_cohen_kernel_needs_the_signed_half_lag_axis():
