@@ -55,12 +55,18 @@ def oracle_eval(series: VolterraSeries, s) -> np.ndarray:
     """Brute-force evaluation by literal nested loops.
 
     y(t) = v0 + sum_j sum_{tau in {0..M-1}^j} v_j(tau) prod_r s(t - tau_r mod L).
-    Slow on purpose; this is the ground truth.
+    Slow on purpose; this is the ground truth.  It loops over t, the dense
+    lattice tau (``itertools.product`` over ``data``) and the j factors on
+    Python complex scalars, read once from ``s.tolist()`` and each kernel's
+    ``data.ravel().tolist()``: the arithmetic and order of numpy scalars, so
+    the same bits, without boxing one per term.  It never reads orbit values
+    and shares no helper with ``eval_time``, the paths it checks.
     """
     s = _signal(s)
     L = s.size
     if series.memory > L:
         raise GridError(f"series memory {series.memory} exceeds signal length {L}")
+    x = s.tolist()
     y = [complex(0.0)] * L
     for kernel in series.kernels.values():
         j, M = kernel.order, kernel.memory
@@ -68,28 +74,34 @@ def oracle_eval(series: VolterraSeries, s) -> np.ndarray:
             for t in range(L):
                 y[t] += complex(kernel.data)
             continue
+        weights = kernel.data.ravel().tolist()
         for t in range(L):
             acc = complex(0.0)
-            for tau in itertools.product(range(M), repeat=j):
-                w = complex(kernel.data[tau])
+            for tau, w in zip(itertools.product(range(M), repeat=j), weights):
                 if w == 0:
                     continue
                 prod = complex(1.0)
                 for r in range(j):
-                    prod *= s[(t - tau[r]) % L]
+                    prod *= x[(t - tau[r]) % L]
                 acc += w * prod
             y[t] += acc
     return np.array(y, dtype=np.complex128)
 
 
 def _shift_matrix(s: np.ndarray, M: int) -> np.ndarray:
-    """Rows m = 0..M-1 hold the signal delayed by m samples: a read-only view."""
-    L = s.size
+    """Rows m = 0..M-1 hold the signal delayed by m samples: a read-only view.
+
+    A (T, L) batch gives the (M, T * L) bank, signal i at columns i L .. i L + L - 1,
+    copied once from the wrapped batch.
+    """
+    L = s.shape[-1]
     if M > L:
         raise GridError(f"kernel memory {M} exceeds signal length {L}")
-    wrapped = np.concatenate([s[L - M + 1 :], s])  # wrapped[i] = s((i - M + 1) mod L)
-    step = wrapped.itemsize  # row m, column t reads wrapped[M - 1 - m + t]
-    bank = np.ndarray((M, L), wrapped.dtype, wrapped, (M - 1) * step, (-step, step))
+    wrapped = np.concatenate([s[..., L - M + 1 :], s], axis=-1)  # [..., i] = s((i - M + 1) mod L)
+    step = wrapped.itemsize  # delay m at time t reads wrapped[..., M - 1 - m + t]
+    strides = (-step,) + wrapped.strides
+    bank = np.ndarray((M,) + s.shape, wrapped.dtype, wrapped, (M - 1) * step, strides)
+    bank = bank.reshape(M, s.size)
     bank.flags.writeable = False
     return bank
 

@@ -37,8 +37,8 @@ _MANIFEST_VERSION = 1
 def write_signal_csv(path, signal):
     signal = np.asarray(signal, dtype=np.complex128)
     with open(path, "w") as fh:
-        for z in signal:
-            fh.write(f"{float(z.real)!r},{float(z.imag)!r}\n")
+        for z in signal.tolist():
+            fh.write(f"{z.real!r},{z.imag!r}\n")
 
 
 def _csv_rows(path, kind, width=None) -> list:
@@ -71,16 +71,15 @@ def read_signal_csv(path) -> np.ndarray:
 
 def write_grid_csv(path, values):
     """Rows are time samples.  Real grids are written as plain floats;
-    complex grids interleave re and im columns."""
+    complex grids interleave re and im columns.  Each row is formatted from
+    Python floats by ``repr``, one row at a time."""
     values = np.asarray(values)
     is_real = np.max(np.abs(values.imag)) <= 1e-9 * max(np.max(np.abs(values)), 1e-300)
     with open(path, "w") as fh:
         for row in values:
-            if is_real:
-                fh.write(",".join(repr(float(v)) for v in row.real))
-            else:
-                fh.write(",".join(f"{float(v.real)!r},{float(v.imag)!r}" for v in row))
-            fh.write("\n")
+            # a complex row as float64 is its re, im pairs side by side
+            fields = row.real.astype(float) if is_real else row.astype(complex).view(float)
+            fh.write(",".join(map(repr, fields.tolist())) + "\n")
 
 
 def read_grid_csv(path) -> np.ndarray:

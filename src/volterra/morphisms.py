@@ -221,7 +221,8 @@ def check_naturality(
 
     Each trial draws one spectrum s_hat from ``rng`` (2L normals: real
     parts, then imaginary) and evaluates fft . D . ifft on it.  The trials
-    run in chunks, side by side as one (L, rows * L) delay bank, each chunk
+    run in chunks, side by side as one (L, rows * L) delay bank that one
+    ``_shift_matrix`` call builds from the chunk's signals, each chunk
     as many trials as keep the bank and the widest contraction within
     ``_BATCH_ENTRIES`` entries (at least one trial), so memory stays bounded
     whatever ``trials`` is; the residual matches a loop of ``apply_component``
@@ -247,7 +248,7 @@ def check_naturality(
     for start in range(0, trials, rows):
         draws = rng.standard_normal((min(rows, trials - start), 2, L))
         signals = np.fft.ifft(draws[:, 0] + 1j * draws[:, 1])
-        bank = np.hstack([_shift_matrix(s, L) for s in signals])  # (L, rows * L)
+        bank = _shift_matrix(signals, L)  # (L, rows * L)
         out = np.zeros(signals.size, dtype=np.complex128)
         for d in diffs:
             out += _contract(d, [bank] * d.ndim)

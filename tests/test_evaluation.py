@@ -1,7 +1,11 @@
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import max_abs, random_kernel, random_series, random_signal, rel_err
 from volterra.combinatorics import Multicombination, multicombinations
@@ -19,6 +23,10 @@ from volterra.evaluation import (
     _shift_matrix,
 )
 from volterra.kernels import (
+    PackedKernel,
+    VolterraKernel,
+    VolterraSeries,
+    constant_kernel,
     delta_kernel,
     identity_series,
     memoryless_polynomial_series,
@@ -51,6 +59,63 @@ def test_oracle_hand_expanded_order2(rng):
         + K.data[1, 1] * s[7] * s[7]
     )
     assert abs(y[0] - want) < 1e-12
+
+
+def numpy_scalar_oracle(series, s):
+    """The literal loop on numpy scalars: ndarray indexing and np.complex128 products."""
+    s = np.asarray(s, dtype=np.complex128)
+    L = s.size
+    y = [complex(0.0)] * L
+    for kernel in series.kernels.values():
+        j, M = kernel.order, kernel.memory
+        if j == 0:
+            for t in range(L):
+                y[t] += complex(kernel.data)
+            continue
+        for t in range(L):
+            acc = complex(0.0)
+            for tau in itertools.product(range(M), repeat=j):
+                w = complex(kernel.data[tau])
+                if w == 0:
+                    continue
+                prod = complex(1.0)
+                for r in range(j):
+                    prod *= s[(t - tau[r]) % L]
+                acc += w * prod
+            y[t] += acc
+    return np.array(y, dtype=np.complex128)
+
+
+def sparse_complex(shape, rng):
+    """Random complex entries, about a third of them exactly zero."""
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return np.where(rng.random(shape) < 1 / 3, 0, values)
+
+
+@settings(settings.get_profile("volterra"), max_examples=40)
+@given(
+    order=st.integers(min_value=0, max_value=3),
+    memory=st.integers(min_value=1, max_value=4),
+    extra=st.integers(min_value=0, max_value=12),
+    packed=st.booleans(),
+    constant=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(order=3, memory=4, extra=0, packed=False, constant=True, seed=0)  # M = L, dense
+@example(order=3, memory=4, extra=12, packed=True, constant=True, seed=1)  # M < L, packed
+@example(order=0, memory=1, extra=3, packed=False, constant=True, seed=2)  # a constant alone
+def test_oracle_is_bit_identical_to_numpy_scalar_loop(order, memory, extra, packed, constant, seed):
+    """Python scalars change no bit: the same terms, summed in the same order."""
+    rng = np.random.default_rng(seed)
+    kernels = {0: constant_kernel(complex(*rng.standard_normal(2)))} if constant or not order else {}
+    for j in range(1, order + 1):
+        if packed:
+            kernels[j] = PackedKernel(j, memory, sparse_complex(math.comb(memory + j - 1, j), rng))
+        else:
+            kernels[j] = VolterraKernel(j, memory, sparse_complex((memory,) * j, rng))
+    series = VolterraSeries(kernels)
+    s = random_signal(memory + extra, rng)
+    assert np.array_equal(oracle_eval(series, s), numpy_scalar_oracle(series, s))
 
 
 def test_eval_time_constant_only():
@@ -212,12 +277,20 @@ def test_response_comb_period_must_divide():
         comb_signal(10, 3)
 
 
-@pytest.mark.parametrize("L, M", [(1, 1), (5, 1), (5, 3), (5, 5), (16, 4)])
+@pytest.mark.parametrize(
+    "L, M", [(1, 1), (5, 1), (5, 2), (5, 3), (5, 5), (16, 4), (16, 16), (32, 32), (64, 64)]
+)
 def test_shift_matrix_is_read_only_delay_bank(L, M, rng):
     s = random_signal(L, rng)
     bank = _shift_matrix(s, M)
     assert not bank.flags.writeable
+    assert not bank.flags.owndata  # a strided view, not an M x L copy
     assert np.array_equal(bank, s[(np.arange(L)[None, :] - np.arange(M)[:, None]) % L])
+    for T in (1, 3, 20):  # a batch puts signal i at columns i L .. i L + L - 1
+        signals = np.array([random_signal(L, rng) for _ in range(T)])
+        batch = _shift_matrix(signals, M)
+        assert not batch.flags.writeable
+        assert np.array_equal(batch, np.hstack([_shift_matrix(x, M) for x in signals]))
 
 
 def test_shift_matrix_rejects_memory_beyond_length(rng):

@@ -137,6 +137,46 @@ def test_grid_csv_real_and_complex(tmp_path, rng):
     assert raw.shape == (4, 12)  # interleaved re, im columns
 
 
+SPECIAL_VALUES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1.5e-7, 1 / 3])
+
+
+def complex_of(re, im):
+    """re + i im with no arithmetic, so an infinite part makes no nan."""
+    z = np.empty(np.shape(re), dtype=np.complex128)
+    z.real, z.imag = re, im
+    return z
+
+
+def per_value_csv(rows, columns):
+    """The reference layout: each value's repr, as plain floats or as re, im pairs."""
+    text = ""
+    for row in rows:
+        if columns == "real":
+            text += ",".join(f"{float(v.real)!r}" for v in row) + "\n"
+        else:
+            text += ",".join(f"{float(v.real)!r},{float(v.imag)!r}" for v in row) + "\n"
+    return text
+
+
+def test_csv_writers_write_the_repr_of_every_value(tmp_path, rng):
+    signal = tmp_path / "s.csv"
+    for s in (random_signal(16, rng), complex_of(SPECIAL_VALUES, SPECIAL_VALUES[::-1])):
+        io.write_signal_csv(signal, s)
+        assert signal.read_bytes() == per_value_csv(s[:, None], "complex").encode()
+    real = rng.standard_normal((5, 7))
+    cases = [
+        (real, "real"),
+        (real + 1j * rng.standard_normal((5, 7)), "complex"),
+        (real + 1e-12j * rng.standard_normal((5, 7)), "real"),  # imaginary part under 1e-9
+        (np.vstack([np.delete(SPECIAL_VALUES, 4), real[0]]), "real"),  # a nan makes it complex
+        (complex_of(SPECIAL_VALUES, SPECIAL_VALUES[::-1]).reshape(2, 4), "complex"),
+    ]
+    grid = tmp_path / "g.csv"
+    for values, columns in cases:
+        io.write_grid_csv(grid, values)
+        assert grid.read_bytes() == per_value_csv(values, columns).encode()
+
+
 def test_pgm_header_and_payload(tmp_path, rng):
     grid = rng.random((5, 9))
     path = tmp_path / "g.pgm"
