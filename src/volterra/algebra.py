@@ -1,19 +1,26 @@
 """Sum, product and series composition of Volterra series.
 
 The three interconnection products at the kernel level.  Sums add kernels
-level-wise.  Products and series composition share one assembly loop: each
-groups its terms by composite order j (a pair of factor orders; a multiset
-of inner orders under one outer kernel), and only the orders within the cap
-are built.  A composition term is the delay sum of the outer kernel times
-the inner kernels delayed block by block: the time form of the spectral
-formula.  Composition requires the inner constant term to be zero; callers
-fold constants into the outer series first.
+level-wise, and packed kernels stay packed.  Products and series
+composition share one assembly loop: each groups its terms by composite
+order j (a pair of factor orders; a multiset of inner orders under one
+outer kernel), and only the orders within the cap are built.  A product
+term is the outer product of two dense kernels.  Composition works in the
+orbit basis: a symmetric kernel is a polynomial in the delay-line state
+whose monomial coefficients are its orbit sums, so a composite is the
+outer polynomial with each state variable replaced by a delayed inner
+polynomial.  A term contracts the outer kernel with one matrix of delayed
+inner coefficients per block and merges the monomials of each new block
+into the partial product by two cached rank tables; no {0..L'-1}^j lattice
+is built.  Composition requires the inner constant term to be zero;
+callers fold constants into the outer series first.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -28,6 +35,9 @@ from .kernels import (
     PackedKernel,
     VolterraKernel,
     VolterraSeries,
+    _orbit_rank,
+    _orbit_representatives,
+    _orbit_sums,
     constant_kernel,
     symmetrize_plain,
     zero_pad,
@@ -71,8 +81,8 @@ def coproduct(V: VolterraSeries, W: VolterraSeries, L: int):
     return _tagged_union(V, W), inclusion(0, V), inclusion(1, W)
 
 
-def _assemble(operation: str, max_order: int | None, groups: dict, term, memory: int) -> VolterraSeries:
-    """Sum each order's terms into one kernel on {0..memory-1}^j.
+def _assemble(operation: str, max_order: int | None, groups: dict, term, kernel) -> VolterraSeries:
+    """Sum each order's terms and make the order-j kernel of the sum by ``kernel(j, sum)``.
 
     ``groups`` maps every order some term reaches to its terms, in summation
     order; ``term`` turns one of them into an array.  Orders above
@@ -86,7 +96,7 @@ def _assemble(operation: str, max_order: int | None, groups: dict, term, memory:
     kernels = {}
     for j in sorted(set(groups) - set(dropped)):
         acc = functools.reduce(np.add, map(term, groups[j]))
-        kernels[j] = constant_kernel(acc) if j == 0 else VolterraKernel._fresh(j, memory, acc)
+        kernels[j] = constant_kernel(acc) if j == 0 else kernel(j, acc)
     return VolterraSeries(kernels)
 
 
@@ -112,7 +122,7 @@ def product_series(
         a, b = (zero_pad(k, M) for k in pair)
         return np.multiply.outer(a.data, b.data)
 
-    return _assemble("product", max_order, groups, term, M)
+    return _assemble("product", max_order, groups, term, lambda j, acc: VolterraKernel._fresh(j, M, acc))
 
 
 @dataclass(frozen=True)
@@ -140,12 +150,62 @@ def s_matrix(j: int, k: int, p: WeakComposition) -> SMatrix:
     return SMatrix(j, k, p, entries)
 
 
-def _shift_bank(a: VolterraKernel, shifts: int, Lp: int) -> np.ndarray:
-    """bank[s] is a placed at offset s on every axis of {0..Lp-1}^order, s < shifts."""
-    bank = np.zeros((shifts,) + (Lp,) * a.order, dtype=np.complex128)
-    for s in range(shifts):
-        bank[(s,) + (slice(s, s + a.memory),) * a.order] = a.data
-    return bank
+@functools.lru_cache(maxsize=64)
+def _delay_ranks(order: int, memory: int, Lp: int) -> np.ndarray:
+    """table[s, b] is the bucket id in (order, Lp) of orbit b of (order, memory)
+    delayed by s, for s <= Lp - memory.  Read-only, cached by shape;
+    8 (Lp - memory + 1) C(memory + order - 1, order) bytes."""
+    reps, _ = _orbit_representatives(order, memory)
+    table = _orbit_rank(reps[:, None, :] + np.arange(Lp - memory + 1)[:, None], Lp)
+    table.setflags(write=False)
+    return table
+
+
+@functools.lru_cache(maxsize=64)
+def _merge_index(d: int, l: int, Lp: int) -> np.ndarray:
+    """Where the product of orbit a of (d, Lp) and orbit b of (l, Lp) lands in
+    (d + l, Lp), on the float view: entries 2 (a N_l + b) and 2 (a N_l + b) + 1
+    hold 2 r and 2 r + 1, r the bucket id of the joined delays.  Read-only,
+    cached by shape; 16 N_d N_l bytes, N_l = C(Lp + l - 1, l)."""
+    left, right = (_orbit_representatives(n, Lp)[0].astype(np.min_scalar_type(Lp)) for n in (d, l))
+    shape = (left.shape[1], right.shape[1])
+    joined = np.concatenate([np.broadcast_to(left[:, :, None], (d,) + shape), np.broadcast_to(right[:, None, :], (l,) + shape)])
+    joined.sort(axis=0)
+    index = (2 * _orbit_rank(joined, Lp)[..., None] + (0, 1)).ravel()
+    index.setflags(write=False)
+    return index
+
+
+def _delayed_coefficients(a: VolterraKernel, Lp: int) -> np.ndarray:
+    """rows[s] holds a's monomial coefficients delayed by s, over the (order, Lp) orbits.
+
+    The coefficient of the monomial with sorted delays alpha is a's sum over
+    the orbit of alpha; delaying by s moves it to the bucket of alpha + s.
+    """
+    if isinstance(a, PackedKernel):
+        coefficients = a.values * _orbit_representatives(a.order, a.memory)[1]
+    else:
+        coefficients = a.data if a.order == 1 else _orbit_sums(a)[1]
+    ranks = _delay_ranks(a.order, a.memory, Lp)
+    rows = np.zeros((ranks.shape[0], math.comb(Lp + a.order - 1, a.order)), dtype=np.complex128)
+    rows[np.arange(ranks.shape[0])[:, None], ranks] = coefficients
+    return rows
+
+
+def _merge(data: np.ndarray, d: int, l: int, Lp: int) -> np.ndarray:
+    """(..., N_d, N_l) products of monomial coefficients summed into (..., N_{d+l}).
+
+    Each product lands on the bucket of its joined delays, each leading index
+    on its own row of buckets: one bincount over the float view adds re and
+    im side by side.
+    """
+    index = _merge_index(d, l, Lp)
+    size = 2 * math.comb(Lp + d + l - 1, d + l)
+    rows = 2 * data.size // index.size
+    if rows > 1:
+        index = (index + np.arange(0, rows * size, size)[:, None]).ravel()
+    sums = np.bincount(index, weights=data.reshape(-1).view(np.float64), minlength=rows * size)
+    return sums.view(np.complex128).reshape(data.shape[:-2] + (size // 2,))
 
 
 def compose_series(
@@ -153,28 +213,34 @@ def compose_series(
 ) -> VolterraSeries:
     """Series composition: feed the output of A into B.
 
-    Composite order-j kernel on the delay lattice {0..L'-1}^j, with
-    L' = M_A + M_B - 1 the composite support (nothing wraps):
+    A symmetric order-j kernel is a degree-j polynomial in the delay-line
+    state z_d = x(t - d): the monomial with sorted delays beta has as
+    coefficient the kernel's sum over the orbit of beta (Schetzen 1980).  So
+    composition is substitution.  With L' = M_A + M_B - 1 the composite
+    support (nothing wraps) and U_{l, sigma} the polynomial of a_l with every
+    delay moved by sigma,
 
-        c_j(tau) = Sym sum_{k <= n_B} sum_P n(P)
-                   sum_sigma b~_k(sigma) prod_r a_{P_r}(tau_r - sigma_r 1)
+        c_j = sum_{k <= n_B} sum_P n(P)
+              sum_sigma b~_k(sigma) prod_r U_{P_r, sigma_r}
 
     P runs over the multisets of k inner orders (all >= 1: A must have no
     constant term) adding up to j, as sorted parts P_r; n(P) counts their
-    distinct orderings, tau_r is the r-th block of tau and b~_k is b_k
-    symmetrized.  The ordered compositions of j give n(P) terms per multiset
-    that differ by a permutation of b's axes, void once b~_k is symmetric,
-    and of tau's blocks, which Sym (the canonical form) removes.  Each term
-    contracts n(P) b~_k with one bank of shifted copies of a_{P_r} per
-    block.  Its DFT at L' is the spectral formula, S_p the block-sum matrix:
+    distinct orderings and b~_k is b_k symmetrized (b_k itself when A has one
+    inner order: the product of equal factors commutes).  Each term contracts
+    n(P) b~_k with one (M_B, C(L' + l - 1, l)) matrix of delayed coefficients
+    per block, and merges each new block into the partial product by the
+    ranks of the joined delays, so it stays C(L' + d - 1, d) coefficients
+    wide at degree d.  The DFT of the kernel at L' is the spectral formula,
+    S_p the block-sum matrix:
 
         sum_k sum_p b_hat_k(S_p Omega_j) * prod_r a_hat_{p_r}(theta_r)
 
     Orders above ``max_order`` are dropped with a TruncationWarning that
-    lists those some multiset reaches; a bank is built only for an inner order
-    that a kept multiset uses.  No term table is cached.  Each order is
-    assembled dense on {0..L'-1}^j, and Sym packs it: the composite kernels of
-    order >= 2 are ``PackedKernel``s, one value per orbit.
+    lists those some multiset reaches; coefficients are built only for an
+    inner order that a kept multiset uses.  Only the integer rank tables are
+    cached, by shape (``_delay_ranks``, ``_merge_index``).  Each order ends
+    as orbit coefficients over orbit sizes: the composite kernels of order
+    >= 2 are ``PackedKernel``s, and no {0..L'-1}^j array is built.
     """
     if A.constant != 0:
         raise ContractViolation(
@@ -188,24 +254,30 @@ def compose_series(
     groups: dict = {}
     for k, b in Bc.kernels.items():
         if k > 0 or Bc.constant != 0:
-            # one inner order: every multiset has equal parts and Sym alone suffices
             b = symmetrize_plain(b) if len(inner) > 1 else b
             for parts in itertools.combinations_with_replacement(inner, k):
                 weight = multinomial(k, [parts.count(p) for p in set(parts)])
                 groups.setdefault(sum(parts), []).append((weight, b, parts))
 
     @functools.cache
-    def bank(l):
-        return _shift_bank(Ac.kernels[l], M_B, Lp)
+    def coefficients(l):
+        return _delayed_coefficients(Ac.kernels[l], Lp)
 
     def term(multiset):
         weight, b, parts = multiset
-        data = weight * b.data
+        data, degree = weight * b.data, 0
         for part in parts:
-            data = _contract_leading(data, bank(part)[: b.memory])
+            data = _contract_leading(data, coefficients(part)[: b.memory])
+            data = _merge(data, degree, part, Lp) if degree else data
+            degree += part
         return data
 
-    return _assemble("compose", max_order, groups, term, Lp).map_kernels(symmetrize_plain)
+    def kernel(j, coefficients):
+        if j == 1:
+            return VolterraKernel._fresh(1, Lp, coefficients)
+        return PackedKernel(j, Lp, coefficients / _orbit_representatives(j, Lp)[1])
+
+    return _assemble("compose", max_order, groups, term, kernel)
 
 
 @functools.lru_cache(maxsize=256)

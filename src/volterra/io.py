@@ -71,10 +71,14 @@ def read_signal_csv(path) -> np.ndarray:
 
 def write_grid_csv(path, values):
     """Rows are time samples.  Real grids are written as plain floats;
-    complex grids interleave re and im columns.  Each row is formatted from
-    Python floats by ``repr``, one row at a time."""
+    complex grids interleave re and im columns.  A grid is real when every
+    imaginary part is finite and at most 1e-9 times the largest finite
+    magnitude, so a grid of a real dtype always is, nan or inf included.
+    Each row is formatted from Python floats by ``repr``, one row at a time."""
     values = np.asarray(values)
-    is_real = np.max(np.abs(values.imag)) <= 1e-9 * max(np.max(np.abs(values)), 1e-300)
+    mags = np.abs(values)
+    scale = np.max(mags, where=np.isfinite(mags), initial=1e-300)
+    is_real = np.all(np.abs(values.imag) <= 1e-9 * scale)
     with open(path, "w") as fh:
         for row in values:
             # a complex row as float64 is its re, im pairs side by side

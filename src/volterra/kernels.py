@@ -24,10 +24,16 @@ have ``setflags(write=False)``, the rest are tuples):
 
 * here, keyed by ``(order, memory)``, at most 64 shapes each: the orbit
   table of the {0..M-1}^j delay lattice, which the symmetrizers and the
-  expansion of a packed kernel read, and the orbit representatives and
-  sizes, which the time evaluator reads;
+  expansion of a packed kernel read; the orbit representatives and sizes,
+  which the time evaluator and composition read; and the j x M terms of
+  ``_orbit_rank``, which maps sorted delays to their orbit without the
+  lattice;
 * in ``algebra``, the association label multisets, keyed by
-  ``(j, n_C, n_B, n_A, association)``, at most 256 entries;
+  ``(j, n_C, n_B, n_A, association)``, at most 256 entries, and the two
+  rank tables of composition, at most 64 shapes each: where each orbit of
+  an inner kernel lands when delayed, 8 (L' - M + 1) C(M + l - 1, l)
+  bytes, and where the product of two orbits lands, 16 N_d N_l bytes with
+  N_d = C(L' + d - 1, d);
 * in ``morphisms``, the frequency-lattice map of an integer matrix, keyed
   by ``(rows, j, L)``, at most 16 entries of 8 L^j bytes each; only the
   pullback gather reads it.
@@ -37,12 +43,12 @@ An orbit table holds 8 M^j bytes, half of one complex kernel of that shape.
 Copies.  Kernel data is read-only.  The public ``VolterraKernel(...)``
 constructor converts and copies the caller's array in one step, so later
 writes to that array never reach the kernel.  The package's own producers
-(``zero_pad``, ``VolterraSeries.kernel_of_order`` and the products in
-``algebra``) build a fresh array no one else holds and hand it over through
-``VolterraKernel._fresh``, which marks it read-only without a copy.  A
-``PackedKernel`` copies its orbit values, a small array.  A series keeps
-its kernels in a read-only dict, so the orders and memory it reads off
-them once at construction stay true.
+of dense kernels (``zero_pad``, ``VolterraSeries.kernel_of_order`` and the
+products in ``algebra``) build a fresh array no one else holds and hand it
+over through ``VolterraKernel._fresh``, which marks it read-only without a
+copy.  A ``PackedKernel`` copies its orbit values, a small array.  A series
+keeps its kernels in a read-only dict, so the orders and memory it reads
+off them once at construction stay true.
 """
 
 from __future__ import annotations
@@ -217,6 +223,34 @@ def _orbit_representatives(order: int, memory: int):
     return reps, sizes
 
 
+@functools.lru_cache(maxsize=64)
+def _rank_terms(order: int, memory: int) -> np.ndarray:
+    """table[i, d] = C(memory + order - 2 - i - d, order - i): what delay d in place i
+    takes off an orbit's rank (``_orbit_rank``).  Read-only, cached by shape."""
+    n = memory + order - 1
+    table = np.array([[math.comb(n - 1 - i - d, order - i) for d in range(memory)] for i in range(order)], dtype=np.int64)
+    table.setflags(write=False)
+    return table
+
+
+def _orbit_rank(delays: np.ndarray, memory: int) -> np.ndarray:
+    """Bucket ids of sorted delay multisets of {0..memory-1}, delays along the first axis.
+
+    The rank of d_0 <= ... <= d_{j-1} among all such multisets in lexicographic
+    order, the column order of ``_orbit_representatives(j, memory)``.  In the
+    combinatorial number system the j-subset c_i = d_i + i of {0..N-1},
+    N = memory + j - 1, has rank C(N, j) - 1 - sum_i C(N - 1 - c_i, j - i).  No
+    term exceeds C(N, j), the orbit count, so int64 is exact for every table
+    that fits in memory, where base-memory codes overflow once memory^j >= 2^63.
+    """
+    j = delays.shape[0]
+    terms = _rank_terms(j, memory)
+    rank = np.full(delays.shape[1:], math.comb(memory + j - 1, j) - 1, dtype=np.int64)
+    for i in range(j):
+        rank -= terms[i, delays[i]]
+    return rank
+
+
 def _orbit_sums(kernel: VolterraKernel):
     """(orbit sizes, kernel sum over each orbit), in bucket order."""
     bucket, counts = _orbit_buckets(kernel.order, kernel.memory)
@@ -362,13 +396,22 @@ class VolterraSeries:
         return complex(sum(complex(k.data) for k in self.kernels.values() if k.order == 0))
 
     def kernel_of_order(self, j: int) -> VolterraKernel | None:
-        """Sum of all kernels of order j on a common grid, or None."""
+        """Sum of all kernels of order j on a common grid, or None.
+
+        Packed kernels add their orbit values, each re-ranked to the largest
+        memory, and stay packed; any dense kernel among them makes the sum dense.
+        """
         same = [k for k in self.kernels.values() if k.order == j]
         if not same:
             return None
         if len(same) == 1:
             return same[0]
         M = max(k.memory for k in same)
+        if all(isinstance(k, PackedKernel) for k in same):
+            values = np.zeros(math.comb(M + j - 1, j), dtype=np.complex128)
+            for k in same:
+                values[_orbit_rank(_orbit_representatives(j, k.memory)[0], M)] += k.values
+            return PackedKernel(j, M, values)
         data = np.zeros((M,) * j, dtype=np.complex128)
         for k in same:
             data[(slice(0, k.memory),) * j] += k.data

@@ -210,20 +210,21 @@ def test_compose_ignores_an_explicit_zero_inner_constant(rng):
         assert np.array_equal(got.kernel_of_order(j).data, want.kernel_of_order(j).data)
 
 
-def test_compose_builds_shift_banks_only_for_kept_inner_orders(monkeypatch, rng):
+def test_compose_builds_coefficients_only_for_kept_inner_orders(monkeypatch, rng):
     # B of orders 1, 2 after A of orders 1, 4: at max_order=2 every multiset
-    # holding a part of order 4 reaches a dropped order, so its bank is unused
+    # holding a part of order 4 reaches a dropped order, so its delayed
+    # monomial coefficients are unused
     built = []
 
-    def recording_bank(a, *args):
+    def recording_coefficients(a, *args):
         built.append(a.order)
-        return real_bank(a, *args)
+        return real_coefficients(a, *args)
 
-    real_bank = algebra._shift_bank
+    real_coefficients = algebra._delayed_coefficients
     A = VolterraSeries({1: random_kernel(1, 2, rng), 4: random_kernel(4, 2, rng)})
     B = random_series(2, 3, rng)
     want = compose_series(B, A, max_order=None)
-    monkeypatch.setattr(algebra, "_shift_bank", recording_bank)
+    monkeypatch.setattr(algebra, "_delayed_coefficients", recording_coefficients)
     with pytest.warns(TruncationWarning) as rec:
         got = compose_series(B, A, max_order=2)
     assert built == [1]

@@ -168,8 +168,10 @@ def test_csv_writers_write_the_repr_of_every_value(tmp_path, rng):
         (real, "real"),
         (real + 1j * rng.standard_normal((5, 7)), "complex"),
         (real + 1e-12j * rng.standard_normal((5, 7)), "real"),  # imaginary part under 1e-9
-        (np.vstack([np.delete(SPECIAL_VALUES, 4), real[0]]), "real"),  # a nan makes it complex
+        (np.vstack([np.delete(SPECIAL_VALUES, 4), real[0]]), "real"),
         (complex_of(SPECIAL_VALUES, SPECIAL_VALUES[::-1]).reshape(2, 4), "complex"),
+        (SPECIAL_VALUES.reshape(2, 4), "real"),  # a float grid is real, nan or not
+        (np.array([[np.inf, 1 + 2j], [3 + 4j, 5 - 6j]]), "complex"),  # inf is no scale for the imaginary parts
     ]
     grid = tmp_path / "g.csv"
     for values, columns in cases:

@@ -5,9 +5,10 @@ lattice.  These checks tie a packed kernel to the dense kernel of its
 ``data`` (evaluation in time and frequency), and its ``data`` to the
 gather of the orbit values that the symmetrizers returned dense before.
 They pin what the package relies on: a packed kernel symmetrizes to itself,
-pickles by its values, raises the dense path's grid error, and is what
-composition returns.  The last check measures that evaluating a packed
-composite never builds its dense lattice.
+pickles by its values, raises the dense path's grid error, is what
+composition returns, and stays packed when added to packed kernels of the
+same order.  The last checks measure that composing criterion 6's largest
+triple and evaluating the packed composite never build its dense lattice.
 """
 
 import math
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_kernel, random_series, random_signal, rel_err
-from volterra.algebra import compose_series
+from volterra.algebra import compose_series, sum_series
 from volterra.errors import ContractViolation, GridError
 from volterra.evaluation import eval_freq, eval_time
 from volterra.kernels import (
@@ -193,3 +194,39 @@ def test_evaluating_a_packed_composite_never_expands_its_lattice():
         tracemalloc.stop()
     assert peak < 7**8 * 16  # the dense data of the order-8 kernel alone
     assert all("data" not in vars(k) for k in composite.kernels.values() if isinstance(k, PackedKernel))
+
+
+def test_composing_criterion_6s_largest_triple_builds_no_lattice():
+    # three order-2, memory-3 series: the order-8 composite lives on {0..6}^8,
+    # 91 MiB dense, and in 3,003 orbit coefficients
+    rng = np.random.default_rng(606)
+    C, B, A = (random_series(2, 3, rng) for _ in range(3))
+    tracemalloc.start()
+    try:
+        composite = compose_series(compose_series(C, B, max_order=None), A, max_order=None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert composite.orders() == tuple(range(1, 9))
+    assert peak <= 16 * 2**20
+
+
+@pytest.mark.parametrize("memories", [(3, 3), (2, 4), (4, 1, 3)])
+def test_packed_kernels_of_one_order_add_packed(memories, rng):
+    kernels = {i: symmetrize_plain(random_kernel(3, M, rng)) for i, M in enumerate(memories)}
+    got = VolterraSeries(kernels).kernel_of_order(3)
+    M = max(memories)
+    want = sum(np.pad(k.data, [(0, M - k.memory)] * 3) for k in kernels.values())
+    assert isinstance(got, PackedKernel) and got.memory == M
+    assert rel_err(got.data, want) <= 1e-15
+    dense = VolterraSeries({**kernels, "dense": random_kernel(3, 2, rng)}).kernel_of_order(3)
+    assert type(dense) is VolterraKernel
+
+
+def test_sum_of_packed_composites_stays_packed(rng):
+    C, B, A = (random_series(2, 3, rng) for _ in range(3))
+    composite = compose_series(C, compose_series(B, A, max_order=None), max_order=None)
+    total = sum_series(composite, composite)
+    assert all(isinstance(total.kernels[j], PackedKernel) for j in range(2, 9))
+    assert np.array_equal(total.kernels[8].values, 2 * composite.kernels[8].values)
+    assert "data" not in vars(total.kernels[8])

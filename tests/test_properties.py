@@ -10,8 +10,13 @@ interconnection laws (sum, product, composition) are checked the same way
 on pairs of series with j <= 2, M <= 3 and composite memory
 M_A + M_B - 1 <= L.  The time-domain composite kernels are checked against
 the paper's spectral formula on series whose orders have their own
-memories, with orders missing and a constant in the outer series.
+memories, with orders missing and a constant in the outer series, and
+against the dense assembly on {0..L'-1}^j that composition used before it
+worked in the orbit basis, with and without an order cap.
 """
+
+import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -21,8 +26,8 @@ from hypothesis import strategies as st
 from conftest import max_abs, naturality_loop, random_kernel, random_series, random_signal, rel_err
 from volterra.actions import Multiplier, act_modulation, act_periodization, apply_action
 from volterra.algebra import compose_series, product_series, s_matrix, sum_series
-from volterra.combinatorics import WeakComposition, compositions
-from volterra.errors import ContractViolation, GridError
+from volterra.combinatorics import WeakComposition, compositions, multinomial
+from volterra.errors import ContractViolation, GridError, TruncationWarning
 from volterra.evaluation import comb_signal, eval_freq, eval_time, oracle_eval, response_comb
 from volterra.kernels import (
     VolterraKernel,
@@ -211,6 +216,79 @@ def test_compose_series_matches_spectral_formula(pair):
     want = spectral_composition(B, A)
     assert got.constant == B.constant
     assert set(got.orders()) - {0} == set(want)
+    for j, data in want.items():
+        assert rel_err(got.kernel_of_order(j).data, data) <= 1e-12
+
+
+def shift_bank(a, shifts, Lp):
+    """bank[s] is a placed at offset s on every axis of {0..Lp-1}^order, s < shifts."""
+    bank = np.zeros((shifts,) + (Lp,) * a.order, dtype=np.complex128)
+    for s in range(shifts):
+        bank[(s,) + (slice(s, s + a.memory),) * a.order] = a.data
+    return bank
+
+
+def dense_composition(B, A, max_order):
+    """(kernels, dropped orders) of B after A assembled dense on {0..L'-1}^j, then symmetrized.
+
+    The same multisets and weights as ``compose_series``; each term contracts
+    b_k with one bank of shifted copies of a_l per block.
+    """
+    Ac, Bc = A.canonical(), B.canonical()
+    M_B = Bc.memory
+    Lp = max(Ac.memory + M_B - 1, 1)
+    inner = [l for l in Ac.orders() if l >= 1]
+    sums = {}
+    for k, b in Bc.kernels.items():
+        if k > 0 or Bc.constant != 0:
+            b = symmetrize_plain(b) if len(inner) > 1 else b
+            for parts in itertools.combinations_with_replacement(inner, k):
+                data = multinomial(k, [parts.count(p) for p in set(parts)]) * b.data
+                for part in parts:
+                    data = np.tensordot(data, shift_bank(Ac.kernels[part], M_B, Lp)[: b.memory], axes=(0, 0))
+                j = sum(parts)
+                sums[j] = sums[j] + data if j in sums else data
+    dropped = sorted(j for j in sums if max_order is not None and j > max_order)
+    kernels = {
+        j: data if j == 0 else symmetrize_plain(VolterraKernel(j, Lp, data)).data
+        for j, data in sums.items()
+        if j not in dropped
+    }
+    return kernels, dropped
+
+
+@st.composite
+def capped_pairs(draw):
+    """(B, A, max_order): orders <= 3, each with its own memory <= 4 and some packed.
+
+    B may carry a constant.  The cap keeps the dense reference at composite
+    order <= 6; with no cap the orders multiply to at most 6.
+    """
+    rng = np.random.default_rng(draw(SEEDS))
+
+    def series(constant):
+        kernels = {0: constant_kernel(complex(*rng.standard_normal(2)))} if constant else {}
+        for j in sorted(draw(st.sets(st.integers(1, 3), min_size=1))):
+            kernel = random_kernel(j, draw(st.integers(1, 4)), rng)
+            kernels[j] = symmetrize_plain(kernel) if draw(st.booleans()) else kernel
+        return VolterraSeries(kernels)
+
+    A, B = series(False), series(draw(st.booleans()))
+    top = A.max_order * B.max_order
+    caps = st.integers(0, 6) if top > 6 else st.one_of(st.none(), st.integers(0, top))
+    return B, A, draw(caps)
+
+
+@SETTINGS
+@given(capped_pairs())
+def test_compose_series_matches_the_dense_assembly(case):
+    B, A, max_order = case
+    want, dropped = dense_composition(B, A, max_order)
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        got = compose_series(B, A, max_order=max_order)
+    assert [w.message.dropped_orders for w in rec if w.category is TruncationWarning] == ([tuple(dropped)] if dropped else [])
+    assert got.orders() == tuple(sorted(want))
     for j, data in want.items():
         assert rel_err(got.kernel_of_order(j).data, data) <= 1e-12
 
