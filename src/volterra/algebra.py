@@ -2,18 +2,17 @@
 
 The three interconnection products at the kernel level.  Sums add kernels
 level-wise, and packed kernels stay packed.  Products and series
-composition share one assembly loop: each groups its terms by composite
+composition work in the orbit basis: a symmetric kernel is a polynomial in
+the delay-line state whose monomial coefficients are its orbit sums.  A
+product multiplies two such polynomials; a composite is the outer
+polynomial with each state variable replaced by a delayed inner one, one
+matrix of delayed inner coefficients per block.  Both group their terms by
 order j (a pair of factor orders; a multiset of inner orders under one
-outer kernel), and only the orders within the cap are built.  A product
-term is the outer product of two dense kernels.  Composition works in the
-orbit basis: a symmetric kernel is a polynomial in the delay-line state
-whose monomial coefficients are its orbit sums, so a composite is the
-outer polynomial with each state variable replaced by a delayed inner
-polynomial.  A term contracts the outer kernel with one matrix of delayed
-inner coefficients per block and merges the monomials of each new block
-into the partial product by two cached rank tables; no {0..L'-1}^j lattice
-is built.  Composition requires the inner constant term to be zero;
-callers fold constants into the outer series first.
+outer kernel), merge the monomials of each new factor by the ranks of the
+joined delays, and share one assembly that builds only the orders within
+the cap, packed from order 2 up; no {0..M-1}^j lattice is built.
+Composition requires the inner constant term to be zero; callers fold
+constants into the outer series first.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from .kernels import (
     _orbit_sums,
     constant_kernel,
     symmetrize_plain,
-    zero_pad,
 )
 from .morphisms import Morphism, lens_identity
 
@@ -81,12 +79,13 @@ def coproduct(V: VolterraSeries, W: VolterraSeries, L: int):
     return _tagged_union(V, W), inclusion(0, V), inclusion(1, W)
 
 
-def _assemble(operation: str, max_order: int | None, groups: dict, term, kernel) -> VolterraSeries:
-    """Sum each order's terms and make the order-j kernel of the sum by ``kernel(j, sum)``.
+def _assemble(operation: str, max_order: int | None, groups: dict, term, memory: int) -> VolterraSeries:
+    """Sum each order's terms into monomial coefficients and make its kernel on ``memory``.
 
     ``groups`` maps every order some term reaches to its terms, in summation
-    order; ``term`` turns one of them into an array.  Orders above
-    ``max_order`` are never built: one TruncationWarning lists exactly them.
+    order; ``term`` turns one into coefficients.  Order 0 becomes a constant,
+    order 1 dense, order j >= 2 packed: coefficients over orbit sizes.  Orders
+    above ``max_order`` are never built: one TruncationWarning lists exactly them.
     """
     if max_order is not None and max_order < 0:
         raise ContractViolation(f"max_order must be >= 0 or None, got {max_order}")
@@ -96,7 +95,10 @@ def _assemble(operation: str, max_order: int | None, groups: dict, term, kernel)
     kernels = {}
     for j in sorted(set(groups) - set(dropped)):
         acc = functools.reduce(np.add, map(term, groups[j]))
-        kernels[j] = constant_kernel(acc) if j == 0 else kernel(j, acc)
+        if j >= 2:
+            kernels[j] = PackedKernel(j, memory, acc / _orbit_representatives(j, memory)[1])
+        else:
+            kernels[j] = VolterraKernel._fresh(1, memory, acc) if j else constant_kernel(acc)
     return VolterraSeries(kernels)
 
 
@@ -105,24 +107,33 @@ def product_series(
 ) -> VolterraSeries:
     """Pointwise product of outputs, as one series.
 
-    The order-j kernel is the sum over the order pairs k1 + k2 = j present
-    in A and B (ascending k1) of the tensor products a_k1 (x) b_k2 arranged
-    on the block split; its spectrum is the matching product of block
-    spectra.  Orders above ``max_order`` are dropped with a
-    TruncationWarning.
+    The product of two delay-line polynomials on M = max(M_A, M_B): the
+    order-j coefficients sum, over the order pairs k1 + k2 = j present in A
+    and B (ascending k1), the outer product of the monomial coefficients of
+    a_k1 and b_k2 merged by the ranks of the joined delays (an order-0 factor
+    scales).  So the kernel is the symmetrized sum of the tensor products
+    a_k1 (x) b_k2 on the block split, its spectrum that of the block spectra,
+    and packed from order 2 up; no factor is expanded.  Orders above
+    ``max_order`` are dropped with a TruncationWarning.
     """
     Ac, Bc = A.canonical(), B.canonical()
     M = max(Ac.memory, Bc.memory)
     groups: dict = {}
-    for k1, a in Ac.kernels.items():
-        for k2, b in Bc.kernels.items():
-            groups.setdefault(k1 + k2, []).append((a, b))
+    for k1 in Ac.kernels:
+        for k2 in Bc.kernels:
+            groups.setdefault(k1 + k2, []).append((k1, k2))
 
-    def term(pair):
-        a, b = (zero_pad(k, M) for k in pair)
-        return np.multiply.outer(a.data, b.data)
+    @functools.cache
+    def coefficients(side, k):
+        kernel = (Ac, Bc)[side].kernels[k]
+        return kernel.data if k == 0 else _delayed_coefficients(kernel, M)[0]
 
-    return _assemble("product", max_order, groups, term, lambda j, acc: VolterraKernel._fresh(j, M, acc))
+    def term(orders):
+        k1, k2 = orders
+        a, b = coefficients(0, k1), coefficients(1, k2)
+        return _merge(a[:, None] * b, k1, k2, M) if k1 and k2 else a * b
+
+    return _assemble("product", max_order, groups, term, M)
 
 
 @dataclass(frozen=True)
@@ -238,9 +249,8 @@ def compose_series(
     Orders above ``max_order`` are dropped with a TruncationWarning that
     lists those some multiset reaches; coefficients are built only for an
     inner order that a kept multiset uses.  Only the integer rank tables are
-    cached, by shape (``_delay_ranks``, ``_merge_index``).  Each order ends
-    as orbit coefficients over orbit sizes: the composite kernels of order
-    >= 2 are ``PackedKernel``s, and no {0..L'-1}^j array is built.
+    cached, by shape (``_delay_ranks``, ``_merge_index``).  The composite
+    kernels of order >= 2 are packed, and no {0..L'-1}^j array is built.
     """
     if A.constant != 0:
         raise ContractViolation(
@@ -272,12 +282,7 @@ def compose_series(
             degree += part
         return data
 
-    def kernel(j, coefficients):
-        if j == 1:
-            return VolterraKernel._fresh(1, Lp, coefficients)
-        return PackedKernel(j, Lp, coefficients / _orbit_representatives(j, Lp)[1])
-
-    return _assemble("compose", max_order, groups, term, kernel)
+    return _assemble("compose", max_order, groups, term, Lp)
 
 
 @functools.lru_cache(maxsize=256)
@@ -354,10 +359,9 @@ def associativity_harness(
 ) -> AssociativityReport:
     """Build both ternary associations and report their disagreement.
 
-    Kernel-level: per-order max abs deviation between the (symmetrized,
-    canonical) kernels of (C . B) . A and C . (B . A), read off the orbit
-    values where both are packed on one memory.  Output-level: max
-    deviation on random signals.  Also checks the combinatorial label
+    Kernel-level: per-order max abs deviation between the kernels of
+    (C . B) . A and C . (B . A), on orbit values where packed, never padded;
+    output-level: max deviation on random signals.  Also checks the label
     multisets of the two expansions coincide order by order.
     """
     if A.constant != 0 or B.constant != 0:
@@ -367,17 +371,9 @@ def associativity_harness(
     orders = tuple(sorted(set(left.orders()) | set(right.orders())))
     per_order = {}
     for j in orders:
-        lk, rk = left.kernel_of_order(j), right.kernel_of_order(j)
-        if lk is None and rk is None:
-            per_order[j] = 0.0
-            continue
-        if isinstance(lk, PackedKernel) and isinstance(rk, PackedKernel) and lk.memory == rk.memory:
-            # every lattice point carries its orbit's value: the same max, never expanded
-            ld, rd = lk.values, rk.values
-        else:
-            M = max(k.memory for k in (lk, rk) if k is not None)
-            ld = zero_pad(lk, M).data if lk is not None else 0.0
-            rd = zero_pad(rk, M).data if rk is not None else 0.0
+        # one memory, M_A + M_B + M_C - 2, and one kind on both sides: packed from order 2 up
+        kernels = left.kernels[j], right.kernels[j]
+        ld, rd = (k.values if isinstance(k, PackedKernel) else k.data for k in kernels)
         per_order[j] = float(np.max(np.abs(ld - rd)))
     max_kernel = max(per_order.values(), default=0.0)
 

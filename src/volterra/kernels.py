@@ -30,10 +30,11 @@ have ``setflags(write=False)``, the rest are tuples):
   lattice;
 * in ``algebra``, the association label multisets, keyed by
   ``(j, n_C, n_B, n_A, association)``, at most 256 entries, and the two
-  rank tables of composition, at most 64 shapes each: where each orbit of
-  an inner kernel lands when delayed, 8 (L' - M + 1) C(M + l - 1, l)
-  bytes, and where the product of two orbits lands, 16 N_d N_l bytes with
-  N_d = C(L' + d - 1, d);
+  rank tables of composition and the product, at most 64 shapes each:
+  where each orbit of a kernel lands when delayed, 8 (L' - M + 1)
+  C(M + l - 1, l) bytes, and where the product of two orbits lands,
+  16 N_d N_l bytes with N_d = C(L' + d - 1, d), never more than the
+  16 L'^(d + l) bytes of a dense order-(d + l) term;
 * in ``morphisms``, the frequency-lattice map of an integer matrix, keyed
   by ``(rows, j, L)``, at most 16 entries of 8 L^j bytes each; only the
   pullback gather reads it.
@@ -43,12 +44,12 @@ An orbit table holds 8 M^j bytes, half of one complex kernel of that shape.
 Copies.  Kernel data is read-only.  The public ``VolterraKernel(...)``
 constructor converts and copies the caller's array in one step, so later
 writes to that array never reach the kernel.  The package's own producers
-of dense kernels (``zero_pad``, ``VolterraSeries.kernel_of_order`` and the
-products in ``algebra``) build a fresh array no one else holds and hand it
-over through ``VolterraKernel._fresh``, which marks it read-only without a
-copy.  A ``PackedKernel`` copies its orbit values, a small array.  A series
-keeps its kernels in a read-only dict, so the orders and memory it reads
-off them once at construction stay true.
+of dense kernels (``zero_pad``, ``VolterraSeries.kernel_of_order``, and in
+``algebra`` the order-1 products and composites) build a fresh array no one
+else holds and hand it over through ``VolterraKernel._fresh``, which marks
+it read-only without a copy.  A ``PackedKernel`` copies its orbit values, a
+small array.  A series keeps its kernels in a read-only dict, so the orders
+and memory it reads off them once at construction stay true.
 """
 
 from __future__ import annotations
@@ -319,8 +320,9 @@ def symmetrize_weighted(kernel: VolterraKernel) -> VolterraKernel:
 
 
 def symmetric_part_max_deviation(kernel: VolterraKernel) -> float:
-    """Max abs difference between the kernel and its permutation average."""
-    return float(np.max(np.abs(kernel.data - symmetrize_plain(kernel).data))) if kernel.order else 0.0
+    """Max abs difference between the kernel and its permutation average; 0 if packed, unexpanded."""
+    symmetric = kernel.order == 0 or isinstance(kernel, PackedKernel)
+    return 0.0 if symmetric else float(np.max(np.abs(kernel.data - symmetrize_plain(kernel).data)))
 
 
 def vfrf(kernel: VolterraKernel, L: int) -> np.ndarray:

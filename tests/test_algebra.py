@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -74,7 +76,8 @@ def test_product_pointwise_law(rng):
 
 
 def test_product_blockwise_vfrf_formula(rng):
-    # the order-j spectrum is the sum of block tensor products of factor spectra
+    # the order-j spectrum is the sum of block tensor products of factor spectra,
+    # symmetrized: the product kernel is packed, the mean over the j! axis orders
     A = random_series(2, 3, rng)
     B = random_series(1, 3, rng)
     P = product_series(A, B, max_order=None)
@@ -85,7 +88,8 @@ def test_product_blockwise_vfrf_formula(rng):
     b1 = vfrf(B.kernels[1], L)
     a1 = vfrf(A.kernels[1], L)
     # (2,1) and (1,2) splits are the only ones with both factors present
-    want += np.multiply.outer(a2, b1)
+    outer = np.multiply.outer(a2, b1)
+    want += np.mean([outer.transpose(p) for p in itertools.permutations(range(j))], axis=0)
     # no order-2 kernel in B, no order-0 terms: (1,2) and (0,3), (3,0) vanish
     got = vfrf(P.kernel_of_order(3), L)
     assert rel_err(got, want) < 1e-12

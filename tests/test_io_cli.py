@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import max_abs, random_kernel, random_series, random_signal
 from volterra import io
-from volterra.algebra import compose_series
+from volterra.algebra import compose_series, product_series
 from volterra.errors import ContractViolation
 from volterra.cli import main
 from volterra.evaluation import eval_time
@@ -232,6 +232,25 @@ def test_cli_compose_associativity_triple(tmp_path, rng, capsys):
         rd = zero_pad(rk, M).data if rk else 0
         assert max_abs(ld - rd) <= 1e-8
 
+
+def test_cli_compose_product_saves_its_packed_kernels_symmetric(tmp_path, rng, capsys):
+    A = random_series(2, 3, rng, constant=0.5 - 0.25j)
+    B = random_series(2, 2, rng)
+    binds = [
+        "--bind", f"A={write_series(tmp_path, 'a.vk', A)}",
+        "--bind", f"B={write_series(tmp_path, 'b.vk', B)}",
+    ]
+    out = tmp_path / "p.vk"
+    assert main(["compose", "--expr", "A * B", *binds, "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["orders"] == [1, 2, 3, 4]
+    want = product_series(A, B)
+    assert any(isinstance(k, PackedKernel) for k in want.kernels.values())
+    saved = io.load_series(out)
+    assert saved.orders() == want.orders()
+    for j in want.orders():
+        assert np.array_equal(saved.kernels[j].data, want.kernels[j].data)
+    assert main(["info", "--series", str(out)]) == 0
+    assert all(entry["symmetric"] for entry in json.loads(capsys.readouterr().out)["kernels"])
 
 def test_cli_compose_reports_only_reachable_dropped_orders(tmp_path, rng, capsys):
     A = VolterraSeries({2: random_series(2, 2, rng).kernels[2]})

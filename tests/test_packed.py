@@ -6,9 +6,11 @@ lattice.  These checks tie a packed kernel to the dense kernel of its
 gather of the orbit values that the symmetrizers returned dense before.
 They pin what the package relies on: a packed kernel symmetrizes to itself,
 pickles by its values, raises the dense path's grid error, is what
-composition returns, and stays packed when added to packed kernels of the
-same order.  The last checks measure that composing criterion 6's largest
-triple and evaluating the packed composite never build its dense lattice.
+composition and the product return, and stays packed when added to packed
+kernels of the same order.  The last checks measure that composing
+criterion 6's largest triple, evaluating the packed composite, measuring
+its asymmetry and multiplying two order-4 series never build a dense
+lattice.
 """
 
 import math
@@ -21,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_kernel, random_series, random_signal, rel_err
-from volterra.algebra import compose_series, sum_series
+from volterra.algebra import compose_series, product_series, sum_series
 from volterra.errors import ContractViolation, GridError
 from volterra.evaluation import eval_freq, eval_time
 from volterra.kernels import (
@@ -29,6 +31,7 @@ from volterra.kernels import (
     VolterraKernel,
     VolterraSeries,
     _orbit_buckets,
+    symmetric_part_max_deviation,
     symmetrize_plain,
     symmetrize_weighted,
 )
@@ -209,6 +212,33 @@ def test_composing_criterion_6s_largest_triple_builds_no_lattice():
         tracemalloc.stop()
     assert composite.orders() == tuple(range(1, 9))
     assert peak <= 16 * 2**20
+
+
+def test_asymmetry_of_a_packed_composite_is_zero_unexpanded():
+    rng = np.random.default_rng(606)
+    C, B, A = (random_series(2, 3, rng) for _ in range(3))
+    top = compose_series(compose_series(C, B, max_order=None), A, max_order=None).kernels[8]
+    assert symmetric_part_max_deviation(top) == 0.0
+    assert "data" not in vars(top)
+
+
+def test_product_of_two_order_4_series_builds_no_lattice():
+    # the order-8 product of two order-4, memory-6 series lives on {0..5}^8,
+    # 25.6 MiB dense, and in 1,287 orbit coefficients; one factor is packed
+    rng = np.random.default_rng(8)
+    A, B = random_series(4, 6, rng).map_kernels(symmetrize_plain), random_series(4, 6, rng)
+    tracemalloc.start()
+    try:
+        product = product_series(A, B, max_order=None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert product.orders() == tuple(range(2, 9))
+    assert peak <= 4 * 2**20
+    for k in product.kernels.values():
+        assert isinstance(k, PackedKernel) == (k.order >= 2)
+    packed = [k for S in (product, A) for k in S.kernels.values() if k.order >= 2]
+    assert all("data" not in vars(k) for k in packed)
 
 
 @pytest.mark.parametrize("memories", [(3, 3), (2, 4), (4, 1, 3)])

@@ -12,7 +12,8 @@ M_A + M_B - 1 <= L.  The time-domain composite kernels are checked against
 the paper's spectral formula on series whose orders have their own
 memories, with orders missing and a constant in the outer series, and
 against the dense assembly on {0..L'-1}^j that composition used before it
-worked in the orbit basis, with and without an order cap.
+worked in the orbit basis, with and without an order cap; the product's
+kernels against its former dense outer products on {0..M-1}^j, symmetrized.
 """
 
 import itertools
@@ -36,6 +37,7 @@ from volterra.kernels import (
     delta_kernel,
     symmetrize_plain,
     vfrf,
+    zero_pad,
 )
 from volterra.morphisms import (
     CATALOG_KINDS,
@@ -287,6 +289,61 @@ def test_compose_series_matches_the_dense_assembly(case):
     with warnings.catch_warnings(record=True) as rec:
         warnings.simplefilter("always")
         got = compose_series(B, A, max_order=max_order)
+    assert [w.message.dropped_orders for w in rec if w.category is TruncationWarning] == ([tuple(dropped)] if dropped else [])
+    assert got.orders() == tuple(sorted(want))
+    for j, data in want.items():
+        assert rel_err(got.kernel_of_order(j).data, data) <= 1e-12
+
+
+def dense_product(A, B, max_order):
+    """(kernels, dropped orders) of A times B assembled dense on {0..M-1}^j, then symmetrized.
+
+    The same order pairs as ``product_series``; each term is the outer
+    product of both factors zero-padded to M = max(M_A, M_B).
+    """
+    Ac, Bc = A.canonical(), B.canonical()
+    M = max(Ac.memory, Bc.memory)
+    sums = {}
+    for k1, a in Ac.kernels.items():
+        for k2, b in Bc.kernels.items():
+            data = np.multiply.outer(zero_pad(a, M).data, zero_pad(b, M).data)
+            sums[k1 + k2] = sums[k1 + k2] + data if k1 + k2 in sums else data
+    dropped = sorted(j for j in sums if max_order is not None and j > max_order)
+    kernels = {
+        j: data if j == 0 else symmetrize_plain(VolterraKernel(j, M, data)).data
+        for j, data in sums.items()
+        if j not in dropped
+    }
+    return kernels, dropped
+
+
+@st.composite
+def product_pairs(draw):
+    """(A, B, max_order): orders <= 3 with some missing, each with its own memory <= 4.
+
+    Either factor may hold dense and packed kernels, and a constant or none;
+    the cap is none or 0..6.
+    """
+    rng = np.random.default_rng(draw(SEEDS))
+
+    def series():
+        kernels = {0: constant_kernel(complex(*rng.standard_normal(2)))} if draw(st.booleans()) else {}
+        for j in sorted(draw(st.sets(st.integers(1, 3)))):
+            kernel = random_kernel(j, draw(st.integers(1, 4)), rng)
+            kernels[j] = symmetrize_plain(kernel) if draw(st.booleans()) else kernel
+        return VolterraSeries(kernels)
+
+    return series(), series(), draw(st.one_of(st.none(), st.integers(0, 6)))
+
+
+@SETTINGS
+@given(product_pairs())
+def test_product_series_matches_the_dense_outer_products(case):
+    A, B, max_order = case
+    want, dropped = dense_product(A, B, max_order)
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        got = product_series(A, B, max_order=max_order)
     assert [w.message.dropped_orders for w in rec if w.category is TruncationWarning] == ([tuple(dropped)] if dropped else [])
     assert got.orders() == tuple(sorted(want))
     for j, data in want.items():
